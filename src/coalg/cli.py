@@ -44,7 +44,6 @@ from .initial_algebra import (
 )
 from .nominal import (
     nlts_from_json,
-    nominal_is_well_founded,
     nominal_koenig_extract,
     nominal_wf_labels,
     orbit_graph,
@@ -70,6 +69,7 @@ class RunConfig:
 
 
 def _emit(doc: dict, config: RunConfig, text_lines) -> None:
+    """Print ``doc`` as JSON, or ``text_lines``, which only text mode reads."""
     if config.fmt == "json":
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
@@ -140,8 +140,9 @@ def cmd_check_wf(path: str, config: RunConfig) -> int:
         verdict = report.is_well_founded
         detail = f"ranks: {json.dumps(doc['ranks'], sort_keys=True)}"
     elif kind == "nlts":
-        verdict = nominal_is_well_founded(obj)
-        doc = {"wellFounded": verdict, "wfLabels": sorted(nominal_wf_labels(obj))}
+        wf_labels = nominal_wf_labels(obj)
+        verdict = len(wf_labels) == len(obj.labels)
+        doc = {"wellFounded": verdict, "wfLabels": sorted(wf_labels)}
         detail = f"labels without infinite runs: {doc['wfLabels']}"
     elif kind == "convex":
         report = convex_wf_fixpoint(obj)
@@ -240,14 +241,12 @@ def cmd_fold(path: str, config: RunConfig) -> int:
     else:
         raise InputError(f"unknown built-in algebra {config.algebra!r}")
     values = solve_recursion(obj, alg)
-    doc = {
-        "algebra": config.algebra,
-        "values": {x: _shape_to_jsonable(values[x]) for x in obj.states},
-    }
+    converted = {x: _shape_to_jsonable(values[x]) for x in obj.states}
+    doc = {"algebra": config.algebra, "values": converted}
     _emit(
         doc,
         config,
-        [f"{x} = {json.dumps(_shape_to_jsonable(values[x]), sort_keys=True)}" for x in obj.states],
+        (f"{x} = {json.dumps(v, sort_keys=True)}" for x, v in converted.items()),
     )
     return EXIT_OK
 

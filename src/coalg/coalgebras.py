@@ -36,6 +36,7 @@ from .errors import (
     NameClashError,
     UnknownStateError,
 )
+from .fixpoint import reach
 
 
 class FiniteCoalgebra:
@@ -247,21 +248,11 @@ def least_subcoalgebra(coalg, seed: Iterable[str], budget: int):
     Returns the closure as a frozenset, or :class:`BudgetExhausted` if more
     than ``budget`` states are visited before the closure stabilizes.
     """
-    seed = sorted(set(seed))
+    seed = set(seed)
     if budget < len(seed):
         raise InputError(f"budget {budget} is below the seed size {len(seed)}")
-    visited: set[str] = set()
-    frontier = list(seed)
-    while frontier:
-        if len(visited) + len(frontier) > budget:
-            taken = budget - len(visited)
-            return BudgetExhausted(frozenset(visited | set(frontier[:taken])), budget)
-        visited.update(frontier)
-        nxt: set[str] = set()
-        for x in frontier:
-            nxt.update(coalg.successors(x))
-        frontier = sorted(nxt - visited)
-    return frozenset(visited)
+    visited, closed = reach(coalg.successors, seed, budget)
+    return visited if closed else BudgetExhausted(visited, budget)
 
 
 def coproduct_extension(

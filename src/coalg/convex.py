@@ -7,8 +7,8 @@ empty); successors of an arbitrary point are obtained by mixing the
 per-generator polytopes with the point's coefficients, so the successor
 map is affine in the point.
 
-Well-foundedness (no infinite point paths) reduces to a finite alternating
-fixpoint on generators:
+Well-foundedness (no infinite point paths) reduces to a finite least
+fixpoint on generators, computed in linear time:
 
     WF(g)  iff  every vertex of g's successor polytope has some
                 WF generator in its support,
@@ -29,6 +29,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InputError
+from .fixpoint import least_fixpoint
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -52,7 +53,8 @@ class CPoint:
 
     @property
     def support(self) -> frozenset[int]:
-        return frozenset(i for i, c in enumerate(self.coeffs) if c > 0)
+        # coefficients are nonnegative, so nonzero means positive
+        return frozenset(i for i, c in enumerate(self.coeffs) if c)
 
     def __str__(self):
         return "(" + ", ".join(str(c) for c in self.coeffs) + ")"
@@ -248,7 +250,7 @@ def vertex_choice_certificate(
 
 @dataclass(frozen=True)
 class ConvexWfReport:
-    """Per-generator verdicts of the alternating fixpoint.
+    """Per-generator verdicts of the well-foundedness fixpoint.
 
     ``rank`` gives the fixpoint round at which a WF generator entered;
     generators with no rank admit infinite paths.  The whole system is
@@ -277,45 +279,22 @@ class ConvexWfReport:
 
 def convex_wf_fixpoint(spec: ConvexSpec) -> ConvexWfReport:
     """Least fixpoint from below: WF(g) iff every successor vertex of g has
-    a WF generator in its support.
+    a WF generator in its support (see the module docstring for why).
 
-    The two inference directions behind the rule: a path from a point
-    projects to a path from any chosen support component, and paths from
-    all support components of a vertex combine into a path from it.
-    Generators with an empty successor polytope enter at rank 1.
+    One linear pass of :func:`coalg.fixpoint.least_fixpoint`: g maps to a
+    node (g, k) per vertex k, which maps to the vertex's support and holds
+    once one member does.  So rank(g) = 1 + max over g's vertices of the
+    least rank in the support (1 for an empty polytope): the round in which
+    g enters when the rule is iterated from the empty set.
     """
     n = spec.generators
-    wf: dict[int, int] = {}
-    round_no = 0
-    changed = True
-    while changed:
-        changed = False
-        round_no += 1
-        entering = []
-        for g in range(n):
-            if g in wf:
-                continue
-            if all(any(k in wf for k in v.support) for v in spec.polytopes[g]):
-                entering.append(g)
-        for g in entering:
-            wf[g] = round_no
-            changed = True
+    succ: dict = {}
+    for g, poly in enumerate(spec.polytopes):
+        succ[g] = [(g, k) for k in range(len(poly))]
+        succ.update(((g, k), v.support) for k, v in enumerate(poly))
+    rank = least_fixpoint(succ, any_of={x for x in succ if isinstance(x, tuple)})
+    wf = {g: rank[g] for g in range(n) if g in rank}
     return ConvexWfReport(tuple(g in wf for g in range(n)), wf)
-
-
-def non_wf_greatest_fixpoint(spec: ConvexSpec) -> frozenset[int]:
-    """Greatest fixpoint from above: B(g) iff some successor vertex of g has
-    support entirely inside B.  Dual of :func:`convex_wf_fixpoint`; the two
-    complement each other exactly."""
-    bad = set(range(spec.generators))
-    changed = True
-    while changed:
-        changed = False
-        for g in sorted(bad):
-            if not any(v.support <= bad for v in spec.polytopes[g]):
-                bad.discard(g)
-                changed = True
-    return frozenset(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .errors import InputError, NotWellFoundedError, UnknownLabelError
+from .fixpoint import least_fixpoint, reach
 
 FRESH_CASE = ("fresh",)
 
@@ -173,35 +174,22 @@ def orbit_graph(spec: NLTSSpec) -> dict[str, frozenset[str]]:
     return {lbl: frozenset(targets) for lbl, targets in edges.items()}
 
 
-def _labels_with_infinite_paths(graph: Mapping[str, frozenset[str]]) -> frozenset[str]:
-    # greatest fixpoint of "has a successor in the set": peel labels whose
-    # every edge leaves the candidate set
-    alive = set(graph)
-    changed = True
-    while changed:
-        changed = False
-        for lbl in sorted(alive):
-            if not (graph[lbl] & alive):
-                alive.discard(lbl)
-                changed = True
-    return frozenset(alive)
-
-
 def nominal_is_well_founded(spec: NLTSSpec) -> bool:
     """True iff the orbit graph is acyclic.
 
     Acyclicity of the finite orbit graph is equivalent to the concrete
     (infinite) system having no infinite runs: concrete runs project to
     orbit paths, and any orbit cycle lifts to a concrete run because fresh
-    atoms never run out.
+    atoms never run out.  Equivalently, the well-founded part of the orbit
+    graph covers every label.
     """
-    return not _labels_with_infinite_paths(orbit_graph(spec))
+    return len(least_fixpoint(orbit_graph(spec))) == len(spec.labels)
 
 
 def nominal_wf_labels(spec: NLTSSpec) -> frozenset[str]:
-    """Labels from which no infinite concrete run exists."""
-    graph = orbit_graph(spec)
-    return frozenset(graph) - _labels_with_infinite_paths(graph)
+    """Labels from which no infinite concrete run exists: the well-founded
+    part of the orbit graph, computed in time linear in its size."""
+    return frozenset(least_fixpoint(orbit_graph(spec)))
 
 
 def path_witness(spec: NLTSSpec, state: NState, length: int) -> list[tuple[int, NState]]:
@@ -214,7 +202,7 @@ def path_witness(spec: NLTSSpec, state: NState, length: int) -> list[tuple[int, 
     """
     spec.check_state(state)
     graph = orbit_graph(spec)
-    alive = _labels_with_infinite_paths(graph)
+    alive = frozenset(graph) - frozenset(least_fixpoint(graph))
     if state.label not in alive:
         raise InputError(f"no infinite run exists from label {state.label!r}")
     steps: list[tuple[int, NState]] = []
@@ -280,21 +268,13 @@ def nominal_koenig_extract(spec: NLTSSpec, state: NState) -> frozenset[str]:
 
     On a well-founded spec this describes an orbit-finite, successor-closed
     subsystem containing the state: all states whose label is in the
-    returned set.
+    returned set.  The state is checked against the spec first, so a bad
+    state is an input error whatever the verdict.
     """
+    spec.check_state(state)
     if not nominal_is_well_founded(spec):
         raise NotWellFoundedError("system is not well-founded")
-    spec.check_state(state)
-    graph = orbit_graph(spec)
-    reached = {state.label}
-    frontier = [state.label]
-    while frontier:
-        nxt: set[str] = set()
-        for lbl in frontier:
-            nxt.update(graph[lbl])
-        frontier = sorted(nxt - reached)
-        reached.update(frontier)
-    return frozenset(reached)
+    return reach(orbit_graph(spec).__getitem__, [state.label])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,7 @@ from .errors import (
     VerificationFailedError,
     ZeroStateError,
 )
+from .fixpoint import least_fixpoint, reach
 
 
 @dataclass(frozen=True)
@@ -79,30 +80,11 @@ class WfReport:
 def well_founded_part(coalg: FiniteCoalgebra) -> WfReport:
     """Least fixpoint of "all my successors are already in".
 
-    Computed by peeling: a state is resolvable once all its successors are
-    resolved, and its rank is one more than their maximum rank.  The
-    complement of the result is exactly the set of states lying on an
+    A state's rank is one more than the maximum rank of its successors.
+    The complement of the result is exactly the set of states lying on an
     infinite outgoing path.
     """
-    succ = coalg.successor_map
-    preds: dict[str, list[str]] = {x: [] for x in coalg.states}
-    pending: dict[str, int] = {}
-    rank: dict[str, int] = {}
-    queue = []
-    for x in coalg.states:
-        pending[x] = len(succ[x])
-        for s in succ[x]:
-            preds[s].append(x)
-        if pending[x] == 0:
-            rank[x] = 1
-            queue.append(x)
-    while queue:
-        y = queue.pop()
-        for x in preds[y]:
-            pending[x] -= 1
-            if pending[x] == 0 and x not in rank:
-                rank[x] = 1 + max(rank[s] for s in succ[x])
-                queue.append(x)
+    rank = least_fixpoint(coalg.successor_map)
     wf = frozenset(rank)
     return WfReport(wf, len(wf) == len(coalg.states), rank)
 
@@ -143,19 +125,9 @@ def koenig_family(coalg: FiniteCoalgebra, require_wf: bool = True) -> KoenigFami
     """
     if require_wf and not is_well_founded(coalg):
         raise NotWellFoundedError("system is not well-founded")
-    succ = coalg.successor_map
-    seen: dict[frozenset[str], None] = {}
-    for x in coalg.states:
-        closure: set[str] = set()
-        frontier = [x]
-        while frontier:
-            closure.update(frontier)
-            nxt: set[str] = set()
-            for y in frontier:
-                nxt.update(succ[y])
-            frontier = list(nxt - closure)
-        seen[frozenset(closure)] = None
-    members = tuple(sorted(seen, key=lambda m: (len(m), sorted(m))))
+    succ = coalg.successor_map.__getitem__
+    closures = {reach(succ, [x])[0] for x in coalg.states}
+    members = tuple(sorted(closures, key=lambda m: (len(m), sorted(m))))
     return KoenigFamily(frozenset(coalg.states), members)
 
 

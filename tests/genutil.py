@@ -285,3 +285,74 @@ def blend_certificate(spec, m, x, y, r, supp_x, cx, supp_y, cy):
             weights[k] += (1 - r) * y.coeffs[i] / total
         components.append((i, tuple(weights)))
     return SuccessorCertificate(tuple(components))
+
+
+# ---------------------------------------------------------------------------
+# fixpoint oracles: the direct round-by-round iterations the linear kernel
+# in coalg.fixpoint replaces
+
+
+def non_wf_greatest_fixpoint(spec):
+    """Greatest fixpoint from above: B(g) iff some successor vertex of g has
+    support entirely inside B.  Dual of ``convex_wf_fixpoint``; the two
+    complement each other exactly."""
+    bad = set(range(spec.generators))
+    changed = True
+    while changed:
+        changed = False
+        for g in sorted(bad):
+            if not any(v.support <= bad for v in spec.polytopes[g]):
+                bad.discard(g)
+                changed = True
+    return frozenset(bad)
+
+
+def convex_round_ranks(spec):
+    """Round-synchronous least fixpoint: rank(g) is the round in which every
+    successor vertex of g first has a generator of an earlier round in its
+    support."""
+    n = spec.generators
+    wf = {}
+    round_no = 0
+    changed = True
+    while changed:
+        changed = False
+        round_no += 1
+        entering = []
+        for g in range(n):
+            if g in wf:
+                continue
+            if all(any(k in wf for k in v.support) for v in spec.polytopes[g]):
+                entering.append(g)
+        for g in entering:
+            wf[g] = round_no
+            changed = True
+    return wf
+
+
+def round_ranks(succ, any_of=frozenset()):
+    """Round-synchronous least fixpoint of ``coalg.fixpoint.least_fixpoint``.
+
+    Round k admits every ordinary node whose successors all entered before
+    round k, then every ``any_of`` node with a member that has entered,
+    repeatedly, so those take the round of their first member.
+    """
+    rank = {}
+    round_no = 0
+    while True:
+        round_no += 1
+        entering = [
+            x for x in succ
+            if x not in rank and x not in any_of and all(s in rank for s in succ[x])
+        ]
+        if not entering:
+            return rank
+        for x in entering:
+            rank[x] = round_no
+        changed = True
+        while changed:
+            changed = False
+            for x in any_of:
+                if x not in rank and any(s in rank for s in succ[x]):
+                    rank[x] = round_no
+                    changed = True

@@ -30,7 +30,6 @@ from coalg.convex import (
     convex_path_witness,
     convex_wf_fixpoint,
     mix,
-    non_wf_greatest_fixpoint,
     sample_support_path,
 )
 from coalg.gallery import GALLERY
@@ -64,6 +63,7 @@ from genutil import (
     all_graphs,
     blend_certificate,
     combine_choice,
+    non_wf_greatest_fixpoint,
     random_convex_spec,
     random_cpoint,
     random_extension,

@@ -16,7 +16,7 @@ from coalg.gallery import (
     build_term_chain,
 )
 from coalg.initial_algebra import Signature, signature_to_json
-from coalg.nominal import nlts_to_json
+from coalg.nominal import FRESH_CASE, NLTSSpec, Rule, Template, nlts_to_json
 
 
 def write(tmp_path, name, doc):
@@ -87,6 +87,15 @@ class TestKoenig:
         nlts = write(tmp_path, "two.json", nlts_to_json(build_nominal_two_label()))
         assert main(["koenig", nlts, "--state", "l0[0]"]) == 0
         assert "l1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("state", ["nope", "l0[1,2]"])
+    def test_nlts_bad_state_is_input_error_on_non_wf_spec(self, tmp_path, capsys, state):
+        # a 0-ary label looping to itself on a fresh input: not well-founded,
+        # yet a bad --state must still be reported as an input error
+        loop = NLTSSpec({"l0": 0}, [Rule("l0", FRESH_CASE, (Template("l0", ()),))])
+        nlts = write(tmp_path, "loop.json", nlts_to_json(loop))
+        assert main(["koenig", nlts, "--state", state]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestFold:

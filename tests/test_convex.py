@@ -12,7 +12,6 @@ from coalg.convex import (
     convex_wf_fixpoint,
     mix,
     mix_sets,
-    non_wf_greatest_fixpoint,
     point,
     sample_support_path,
     successors,
@@ -23,6 +22,8 @@ from coalg.errors import InputError
 from genutil import (
     blend_certificate,
     combine_choice,
+    convex_round_ranks,
+    non_wf_greatest_fixpoint,
     random_convex_spec,
     random_cpoint,
     random_fraction01,
@@ -179,6 +180,17 @@ class TestFixpoint:
             spec = random_convex_spec(rng)
             report = convex_wf_fixpoint(spec)
             assert non_wf_greatest_fixpoint(spec) == report.non_wf
+
+    def test_ranks_equal_round_oracle(self):
+        rng = rng_for(163)
+        for _ in range(1000):
+            spec = random_convex_spec(
+                rng,
+                max_gens=rng.randint(1, 8),
+                empty_prob=rng.choice([0.1, 0.3, 0.5]),
+                max_vertices=rng.randint(1, 4),
+            )
+            assert convex_wf_fixpoint(spec).rank == convex_round_ranks(spec)
 
 
 class TestWitness:

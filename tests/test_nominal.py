@@ -1,6 +1,7 @@
 import pytest
 
 from coalg.errors import InputError, NotWellFoundedError, UnknownLabelError
+from coalg.fixpoint import least_fixpoint
 from coalg.nominal import (
     FRESH_CASE,
     NLTSSpec,
@@ -24,7 +25,7 @@ from coalg.nominal import (
     state_from_text,
 )
 
-from genutil import random_nlts, random_permutation, rng_for
+from genutil import random_nlts, random_permutation, rng_for, round_ranks
 
 TWO_LABEL = NLTSSpec(
     {"l0": 1, "l1": 1},
@@ -115,6 +116,16 @@ class TestWellFounded:
             [Rule("loop", FRESH_CASE, (Template("loop", ()),))],
         )
         assert nominal_wf_labels(spec) == {"safe"}
+
+    def test_orbit_ranks_equal_round_oracle(self):
+        rng = rng_for(113)
+        for _ in range(300):
+            spec = random_nlts(rng, max_labels=8, force_acyclic=rng.random() < 0.3)
+            graph = orbit_graph(spec)
+            rounds = round_ranks(graph)
+            assert least_fixpoint(graph) == rounds
+            assert nominal_wf_labels(spec) == set(rounds)
+            assert nominal_is_well_founded(spec) == (len(rounds) == len(spec.labels))
 
 
 class TestExtract:
