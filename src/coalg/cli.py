@@ -11,6 +11,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from dataclasses import dataclass
@@ -101,6 +102,7 @@ def load_input(path: str):
         raise InputError(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    del raw  # the text is as large as the document; free it before decoding
     if not isinstance(doc, dict) or "kind" not in doc:
         raise InputError(f"{path}: expected a JSON object with a 'kind' field")
     kind = doc["kind"]
@@ -444,6 +446,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # The cyclic garbage collector is paused for the run: the decoded input
+    # is a heap of some 1e6 objects that each collection would rescan, and
+    # every value the program builds is acyclic, so reference counting
+    # frees it.  The collector's previous state comes back in any case, as
+    # tests call main in-process.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _run(argv) -> int:
     args = build_parser().parse_args(argv)
     config = RunConfig(
         fmt=args.format,

@@ -24,7 +24,7 @@ from .containers import (
     identity_values,
     interpret,
     set_of,
-    structure_from_json,
+    structure_decoder,
     structure_to_json,
     support,
     validate,
@@ -35,6 +35,7 @@ from .errors import (
     InputError,
     NameClashError,
     UnknownStateError,
+    check_header,
 )
 from .fixpoint import reach
 
@@ -54,6 +55,7 @@ class FiniteCoalgebra:
             raise InputError(
                 f"structure must be total on the carrier (missing {sorted(missing)}, extra {sorted(extra)})"
             )
+        succ = {}
         for x, h in structure.items():
             if not validate(container, h):
                 raise InputError(f"structure of state {x!r} is not a value of the container")
@@ -62,10 +64,11 @@ class FiniteCoalgebra:
                 raise InputError(
                     f"structure of state {x!r} references unknown states {sorted(refs - carrier)}"
                 )
+            succ[x] = refs
         self.container = container
         self.states = states
         self.structure = structure
-        self._succ: Optional[dict[str, frozenset[str]]] = None
+        self._succ: Optional[dict[str, frozenset[str]]] = succ
 
     @classmethod
     def _trusted(cls, container, states, structure, succ=None):
@@ -366,12 +369,16 @@ def coalgebra_to_json(coalg: FiniteCoalgebra) -> dict:
 
 
 def coalgebra_from_json(doc) -> FiniteCoalgebra:
-    if not isinstance(doc, dict):
-        raise InputError("$: expected a JSON object")
-    if doc.get("version") != 1:
-        raise InputError("$.version: expected 1")
-    if doc.get("kind") != "set-coalgebra":
-        raise InputError(f"$.kind: expected 'set-coalgebra', got {doc.get('kind')!r}")
+    """Decode and check a ``set-coalgebra`` document.
+
+    Each state's structure is checked against the functor, canonicalized and
+    its successors collected in one walk (see
+    :func:`coalg.containers.structure_decoder`).  Errors name the JSON path.
+    The entries of ``doc["structure"]`` are removed as they are decoded, so
+    the JSON of a decoded state can be freed at once; on success
+    ``doc["structure"]`` is left empty and the rest of ``doc`` unchanged.
+    """
+    check_header(doc, "set-coalgebra")
     for field in ("functor", "states", "structure"):
         if field not in doc:
             raise InputError(f"$.{field}: missing")
@@ -379,16 +386,24 @@ def coalgebra_from_json(doc) -> FiniteCoalgebra:
     states = doc["states"]
     if not isinstance(states, list) or not all(isinstance(s, str) for s in states):
         raise InputError("$.states: expected a list of state ids")
-    if not isinstance(doc["structure"], dict):
+    raw = doc["structure"]
+    if not isinstance(raw, dict):
         raise InputError("$.structure: expected an object")
-    structure = {
-        x: structure_from_json(h, f"$.structure.{x}")
-        for x, h in doc["structure"].items()
-    }
-    try:
-        return FiniteCoalgebra(container, states, structure)
-    except (UnknownStateError, InputError) as exc:
-        raise InputError(f"$.structure: {exc}") from None
+    carrier = set(states)
+    if len(carrier) != len(states):
+        raise InputError("$.states: duplicate state ids in carrier")
+    if raw.keys() != carrier:
+        missing = sorted(carrier - raw.keys())
+        extra = sorted(raw.keys() - carrier)
+        raise InputError(
+            f"$.structure: structure must be total on the carrier (missing {missing}, extra {extra})"
+        )
+    decode = structure_decoder(container, carrier)
+    structure = {}
+    succ = {}
+    for x in list(raw):
+        structure[x], succ[x] = decode(raw.pop(x), f"$.structure.{x}")
+    return FiniteCoalgebra._trusted(container, states, structure, succ)
 
 
 def evaluate_state_structure(coalg, alg: Algebra, state: str, env: Mapping[str, object]):

@@ -181,6 +181,9 @@ def structure_key(h: HStructure):
 
 def set_of(items: Iterable[HStructure]) -> SetOf:
     """Build a canonical set node: duplicates removed, members sorted."""
+    items = tuple(items)
+    if len(items) < 2:
+        return SetOf(items)
     dedup = {structure_key(x): x for x in items}
     return SetOf(tuple(dedup[k] for k in sorted(dedup)))
 
@@ -531,9 +534,12 @@ def container_from_json(doc, where: str = "$") -> Container:
     if tag == "exp":
         if not isinstance(body, dict) or set(body) != {"base", "labels"}:
             raise InputError(f"{where}.exp: expected {{base, labels}}")
+        labels = body["labels"]
+        if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+            raise InputError(f"{where}.exp.labels: expected a list of labels")
         return Exp(
             container_from_json(body["base"], f"{where}.exp.base"),
-            tuple(body["labels"]),
+            tuple(labels),
         )
     if tag == "pairneq":
         return PairNeq()
@@ -577,6 +583,8 @@ def structure_from_json(doc, where: str = "$") -> HStructure:
     if tag == "inr":
         return InR(structure_from_json(body, f"{where}.inr"))
     if tag == "tuple":
+        if not isinstance(body, list):
+            raise InputError(f"{where}.tuple: expected a list")
         return TupleOf(
             tuple(
                 structure_from_json(x, f"{where}.tuple[{i}]")
@@ -584,6 +592,8 @@ def structure_from_json(doc, where: str = "$") -> HStructure:
             )
         )
     if tag == "set":
+        if not isinstance(body, list):
+            raise InputError(f"{where}.set: expected a list")
         return set_of(
             structure_from_json(x, f"{where}.set[{i}]") for i, x in enumerate(body)
         )
@@ -603,3 +613,179 @@ def structure_from_json(doc, where: str = "$") -> HStructure:
             structure_from_json(body[1], f"{where}.pair[1]"),
         )
     raise InputError(f"{where}: unknown structure tag {tag!r}")
+
+
+# ---------------------------------------------------------------------------
+# one-pass decoding against a known container
+
+
+class _Mismatch(Exception):
+    """A decode error; each enclosing node adds its step to the JSON path."""
+
+    def __init__(self, msg: str, step: str = ""):
+        super().__init__(msg)
+        self.msg = msg
+        self.steps = [step] if step else []
+
+
+def _tag_error(doc, tags) -> _Mismatch:
+    want = " or ".join(repr(t) for t in tags)
+    if isinstance(doc, dict) and len(doc) == 1:
+        return _Mismatch(f"expected tag {want}, got {next(iter(doc))!r}")
+    return _Mismatch(f"expected a single-key object tagged {want}, got {doc!r}")
+
+
+def _body(doc, tag: str):
+    if isinstance(doc, dict) and len(doc) == 1 and tag in doc:
+        return doc[tag]
+    raise _tag_error(doc, (tag,))
+
+
+def _decode_items(decoders, body, refs, tag: str) -> list:
+    """Decode ``body[i]`` with ``decoders[i]``; an error's path gets ``.tag[i]``."""
+    items = []
+    try:
+        for decode, x in zip(decoders, body):
+            items.append(decode(x, refs))
+    except _Mismatch as exc:
+        exc.steps.append(f".{tag}[{len(items)}]")
+        raise
+    return items
+
+
+def structure_decoder(container: Container, carrier):
+    """Compile ``container`` into a one-pass decoder of its JSON values.
+
+    ``decode(doc, where)`` returns ``(h, support)``.  A single walk of
+    ``doc`` checks every tag and type against the container and every state
+    reference against ``carrier`` (a set of state ids), builds the canonical
+    value that :func:`structure_from_json` builds (through ``set_of``,
+    ``fun_of`` and ``make_pair``, so unsorted or repeated set members and
+    pairs of equal states are normalized), and collects the states the value
+    references.  Equal state references share one ``StateRef``.  A value
+    that does not fit raises :class:`InputError` naming its JSON path below
+    ``where``.
+    """
+    interned: dict[str, StateRef] = {}
+
+    def identity(doc, refs):
+        # _body inlined: this and ``finpow`` are the hot nodes
+        if not (isinstance(doc, dict) and len(doc) == 1 and "state" in doc):
+            raise _tag_error(doc, ("state",))
+        s = doc["state"]
+        r = interned.get(s) if isinstance(s, str) else None
+        if r is None:
+            if not isinstance(s, str) or not s:
+                raise _Mismatch("expected a non-empty string", ".state")
+            if s not in carrier:
+                raise _Mismatch(f"{s!r} is not a carrier state", ".state")
+            r = interned[s] = StateRef(s)
+        refs.add(s)
+        return r
+
+    def compile_node(c):
+        if isinstance(c, Identity):
+            return identity
+        if isinstance(c, Const):
+            consts = {lbl: ConstVal(lbl) for lbl in c.labels}
+
+            def const(doc, refs):
+                lbl = _body(doc, "const")
+                v = consts.get(lbl) if isinstance(lbl, str) else None
+                if v is None:
+                    raise _Mismatch(f"expected one of {list(c.labels)}, got {lbl!r}", ".const")
+                return v
+
+            return const
+        if isinstance(c, Sum):
+            sides = {"inl": (InL, compile_node(c.left)), "inr": (InR, compile_node(c.right))}
+
+            def sum_(doc, refs):
+                tag = next(iter(doc)) if isinstance(doc, dict) and len(doc) == 1 else None
+                if tag not in sides:
+                    raise _tag_error(doc, tuple(sides))
+                wrap, inner = sides[tag]
+                try:
+                    return wrap(inner(doc[tag], refs))
+                except _Mismatch as exc:
+                    exc.steps.append("." + tag)
+                    raise
+
+            return sum_
+        if isinstance(c, Product):
+            parts = tuple(compile_node(p) for p in c.parts)
+
+            def product(doc, refs):
+                body = _body(doc, "tuple")
+                if not isinstance(body, list) or len(body) != len(parts):
+                    raise _Mismatch(f"expected a list of {len(parts)} values", ".tuple")
+                return TupleOf(tuple(_decode_items(parts, body, refs, "tuple")))
+
+            return product
+        if isinstance(c, FinPow):
+            inner = compile_node(c.inner)
+
+            def finpow(doc, refs):
+                if not (isinstance(doc, dict) and len(doc) == 1 and "set" in doc):
+                    raise _tag_error(doc, ("set",))
+                body = doc["set"]
+                if not isinstance(body, list):
+                    raise _Mismatch("expected a list", ".set")
+                return set_of(_decode_items(itertools.repeat(inner), body, refs, "set"))
+
+            return finpow
+        if isinstance(c, Exp):
+            base = compile_node(c.base)
+            labels = set(c.exponent)
+
+            def exp(doc, refs):
+                body = _body(doc, "fun")
+                if not isinstance(body, dict) or body.keys() != labels:
+                    raise _Mismatch(f"expected an object with labels {sorted(labels)}", ".fun")
+                entries = {}
+                lbl = ""
+                try:
+                    for lbl, v in body.items():
+                        entries[lbl] = base(v, refs)
+                except _Mismatch as exc:
+                    exc.steps.append(f".fun.{lbl}")
+                    raise
+                return fun_of(entries)
+
+            return exp
+        if isinstance(c, PairNeq):
+
+            def pairneq(doc, refs):
+                if isinstance(doc, dict) and len(doc) == 1:
+                    if "star" in doc:
+                        if doc["star"] is not None:
+                            raise _Mismatch("expected null", ".star")
+                        return STAR
+                    if "pair" in doc:
+                        body = doc["pair"]
+                        if not isinstance(body, list) or len(body) != 2:
+                            raise _Mismatch("expected [left, right]", ".pair")
+                        # a pair of equal states is * and references nothing
+                        pair_refs: set[str] = set()
+                        left, right = _decode_items((identity, identity), body, pair_refs, "pair")
+                        h = make_pair(left, right)
+                        if h is not STAR:
+                            refs.update(pair_refs)
+                        return h
+                raise _tag_error(doc, ("star", "pair"))
+
+            return pairneq
+        raise InputError(f"unknown container: {c!r}")
+
+    root = compile_node(container)
+
+    def decode(doc, where: str = "$"):
+        refs: set[str] = set()
+        try:
+            h = root(doc, refs)
+        except _Mismatch as exc:
+            path = "".join(reversed(exc.steps))
+            raise InputError(f"{where}{path}: {exc.msg}") from None
+        return h, frozenset(refs)
+
+    return decode

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import InputError
+from .errors import InputError, check_header
 from .fixpoint import least_fixpoint
 
 ZERO = Fraction(0)
@@ -416,12 +416,7 @@ def convex_to_json(spec: ConvexSpec) -> dict:
 
 
 def convex_from_json(doc) -> ConvexSpec:
-    if not isinstance(doc, dict):
-        raise InputError("$: expected a JSON object")
-    if doc.get("version") != 1:
-        raise InputError("$.version: expected 1")
-    if doc.get("kind") != "convex":
-        raise InputError(f"$.kind: expected 'convex', got {doc.get('kind')!r}")
+    check_header(doc, "convex")
     n = doc.get("generators")
     succ = doc.get("successors")
     if not isinstance(n, int) or n < 1:

@@ -1,4 +1,5 @@
-"""Exception types shared across the analysis modules."""
+"""Exception types shared across the analysis modules, and the header check
+of the JSON input documents."""
 
 
 class AnalysisError(Exception):
@@ -68,3 +69,15 @@ class FoundInfinitePathEvidence(AnalysisError):
         )
         self.state = state
         self.report = report
+
+
+def check_header(doc, kind: str) -> None:
+    """Check the header of a JSON input document: an object carrying
+    ``"version": 1`` (the integer; ``true`` is not accepted) and ``kind``."""
+    if not isinstance(doc, dict):
+        raise InputError("$: expected a JSON object")
+    version = doc.get("version")
+    if version != 1 or isinstance(version, bool):
+        raise InputError("$.version: expected 1")
+    if doc.get("kind") != kind:
+        raise InputError(f"$.kind: expected {kind!r}, got {doc.get('kind')!r}")

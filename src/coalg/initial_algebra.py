@@ -36,7 +36,7 @@ from .containers import (
     TupleOf,
     hmap,
 )
-from .errors import InputError
+from .errors import InputError, check_header
 from .wellfounded import is_well_founded, solve_recursion
 
 
@@ -144,12 +144,7 @@ def signature_to_json(sig: Signature) -> dict:
 
 
 def signature_from_json(doc) -> Signature:
-    if not isinstance(doc, dict):
-        raise InputError("$: expected a JSON object")
-    if doc.get("version") != 1:
-        raise InputError("$.version: expected 1")
-    if doc.get("kind") != "signature":
-        raise InputError(f"$.kind: expected 'signature', got {doc.get('kind')!r}")
+    check_header(doc, "signature")
     ops = doc.get("ops")
     if not isinstance(ops, list):
         raise InputError("$.ops: expected a list")

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .errors import InputError, NotWellFoundedError, UnknownLabelError
+from .errors import InputError, NotWellFoundedError, UnknownLabelError, check_header
 from .fixpoint import least_fixpoint, reach
 
 FRESH_CASE = ("fresh",)
@@ -363,12 +363,7 @@ def nlts_to_json(spec: NLTSSpec) -> dict:
 
 
 def nlts_from_json(doc) -> NLTSSpec:
-    if not isinstance(doc, dict):
-        raise InputError("$: expected a JSON object")
-    if doc.get("version") != 1:
-        raise InputError("$.version: expected 1")
-    if doc.get("kind") != "nlts":
-        raise InputError(f"$.kind: expected 'nlts', got {doc.get('kind')!r}")
+    check_header(doc, "nlts")
     labels = doc.get("labels")
     if not isinstance(labels, dict) or not all(
         isinstance(k, str) and isinstance(v, int) for k, v in labels.items()

@@ -70,10 +70,11 @@ class WfReport:
     rank: dict[str, int]
 
     def to_json(self) -> dict:
+        # ranks keep the fixpoint's order; every printer sorts keys
         return {
             "wellFounded": self.is_well_founded,
             "wfPart": sorted(self.wf_part),
-            "ranks": dict(sorted(self.rank.items())),
+            "ranks": self.rank,
         }
 
 

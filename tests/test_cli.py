@@ -1,3 +1,4 @@
+import gc
 import json
 import subprocess
 import sys
@@ -186,6 +187,63 @@ class TestErrors:
 
     def test_missing_file(self, capsys):
         assert main(["check-wf", "/nonexistent/x.json"]) == 3
+
+    def test_non_list_tuple_is_input_error(self, tmp_path, capsys):
+        doc = coalgebra_to_json(build_chain())
+        doc["functor"] = {"product": [{"id": None}]}
+        doc["structure"] = {x: {"tuple": 5} for x in doc["states"]}
+        assert main(["check-wf", write(tmp_path, "t.json", doc)]) == 3
+        err = capsys.readouterr().err
+        assert "$.structure.a.tuple: expected a list of 1 values" in err
+        assert "Traceback" not in err
+
+    def test_string_exp_labels_are_input_error(self, tmp_path, capsys):
+        doc = coalgebra_to_json(build_chain())
+        doc["functor"] = {"exp": {"base": {"id": None}, "labels": "xy"}}
+        doc["structure"] = {x: {"fun": {"x": {"state": x}, "y": {"state": x}}} for x in doc["states"]}
+        assert main(["check-wf", write(tmp_path, "e.json", doc)]) == 3
+        assert "$.functor.exp.labels: expected a list of labels" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            coalgebra_to_json(build_chain()),
+            nlts_to_json(build_nominal_two_label()),
+            convex_to_json(build_convex_self_loop()),
+            signature_to_json(Signature((("z", 0), ("s", 1)))),
+        ],
+        ids=lambda doc: doc["kind"],
+    )
+    def test_boolean_version_is_input_error(self, tmp_path, capsys, doc):
+        path = write(tmp_path, "v.json", {**doc, "version": True})
+        argv = ["check-5.2", "--sig", path] if doc["kind"] == "signature" else ["check-wf", path]
+        assert main(argv) == 3
+        assert "$.version: expected 1" in capsys.readouterr().err
+
+
+class TestCollectorPause:
+    @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+    def collecting(self, request):
+        before = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if before else gc.disable)()
+
+    def test_paused_during_the_run(self, monkeypatch, collecting, capsys):
+        seen = []
+        monkeypatch.setattr("coalg.cli.cmd_gallery", lambda name, config: seen.append(gc.isenabled()) or 0)
+        assert main(["gallery", "list"]) == 0
+        assert seen == [False]
+
+    @pytest.mark.parametrize("argv, code", [(["gallery", "chain"], 0), (["check-wf", "gallery:nope"], 3)])
+    def test_state_restored(self, collecting, capsys, argv, code):
+        assert main(argv) == code
+        assert gc.isenabled() == collecting
+
+    def test_state_restored_after_a_usage_error(self, collecting, capsys):
+        with pytest.raises(SystemExit):
+            main(["check-wf"])
+        assert gc.isenabled() == collecting
 
 
 class TestGallery:

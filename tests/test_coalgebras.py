@@ -23,6 +23,7 @@ from coalg.containers import (
     enumerate_structures,
     make_pair,
     set_of,
+    structure_from_json,
 )
 from coalg.errors import (
     ContainerMismatchError,
@@ -32,7 +33,13 @@ from coalg.errors import (
 )
 from coalg.wellfounded import integer_ladder
 
-from genutil import random_coalgebra, random_extension, random_graph, rng_for
+from genutil import (
+    random_coalgebra,
+    random_extension,
+    random_graph,
+    random_wf_coalgebra,
+    rng_for,
+)
 
 GRAPH = FinPow(Identity())
 
@@ -50,6 +57,17 @@ SELF_LOOP = graph({"s": ["s"]})
 
 
 class TestConstruction:
+    def test_successor_map_is_kept_from_the_checks(self, monkeypatch):
+        import coalg.coalgebras as coalgebras
+
+        calls = []
+        real = coalgebras.support
+        monkeypatch.setattr(coalgebras, "support", lambda c, h: calls.append(h) or real(c, h))
+        coalg = graph({"a": ["b"], "b": [], "c": ["a", "b"]})
+        assert len(calls) == 3
+        assert coalg.successor_map == {"a": {"b"}, "b": set(), "c": {"a", "b"}}
+        assert len(calls) == 3
+
     def test_structure_must_be_total(self):
         with pytest.raises(InputError):
             FiniteCoalgebra(GRAPH, ["a", "b"], {"a": set_of(())})
@@ -258,4 +276,51 @@ class TestJsonFiles:
         doc = coalgebra_to_json(CHAIN)
         doc["version"] = 2
         with pytest.raises(InputError, match="version"):
+            coalgebra_from_json(doc)
+
+    @pytest.mark.parametrize("version", [True, "1", None])
+    def test_version_must_be_the_integer_one(self, version):
+        doc = coalgebra_to_json(CHAIN)
+        doc["version"] = version
+        with pytest.raises(InputError, match=r"\$\.version: expected 1"):
+            coalgebra_from_json(doc)
+
+    def test_decode_matches_reference_path(self):
+        # reference: structure_from_json per state, then the checking
+        # constructor (validate and support)
+        rng = rng_for(43)
+        for k in range(60):
+            coalg = (random_coalgebra if k % 2 else random_wf_coalgebra)(rng, 8, depth=3)
+            doc = coalgebra_to_json(coalg)
+            reference = FiniteCoalgebra(
+                coalg.container,
+                doc["states"],
+                {x: structure_from_json(h) for x, h in doc["structure"].items()},
+            )
+            decoded = coalgebra_from_json(doc)
+            assert decoded == reference
+            assert list(decoded.structure) == list(reference.structure)
+            assert decoded.successor_map == reference.successor_map
+
+    def test_consumes_the_structure_entries(self):
+        doc = coalgebra_to_json(CHAIN)
+        rest = {k: v for k, v in doc.items() if k != "structure"}
+        assert coalgebra_from_json(doc) == CHAIN
+        assert doc == {**rest, "structure": {}}
+
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            (lambda d: d["states"].append("a"), r"\$\.states: duplicate state ids"),
+            (lambda d: d["structure"].pop("b"), r"\$\.structure: structure must be total .*missing \['b'\]"),
+            (lambda d: d["structure"].update(z={"set": []}), r"\$\.structure: .*extra \['z'\]"),
+            (lambda d: d["structure"].update(a={"set": [{"state": "z"}]}), r"\$\.structure\.a\.set\[0\]\.state: 'z' is not a carrier state"),
+            (lambda d: d["structure"].update(a={"tuple": 5}), r"\$\.structure\.a: expected tag 'set', got 'tuple'"),
+            (lambda d: d.update(functor={"exp": {"base": {"id": None}, "labels": "xy"}}), r"\$\.functor\.exp\.labels"),
+        ],
+    )
+    def test_errors_name_the_json_path(self, edit, error):
+        doc = coalgebra_to_json(CHAIN)
+        edit(doc)
+        with pytest.raises(InputError, match=error):
             coalgebra_from_json(doc)

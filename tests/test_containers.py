@@ -25,6 +25,7 @@ from coalg.containers import (
     interpret,
     make_pair,
     set_of,
+    structure_decoder,
     structure_from_json,
     structure_to_json,
     support,
@@ -32,7 +33,13 @@ from coalg.containers import (
 )
 from coalg.errors import InputError, UnknownStateError
 
-from genutil import random_container, random_coalgebra, random_structure, rng_for
+from genutil import (
+    random_coalgebra,
+    random_container,
+    random_structure,
+    random_wf_coalgebra,
+    rng_for,
+)
 
 GRAPH = FinPow(Identity())
 
@@ -189,6 +196,102 @@ class TestJson:
     def test_bad_tag_reports_path(self):
         with pytest.raises(InputError, match=r"\$\.sum\[1\]"):
             container_from_json({"sum": [{"id": None}, {"nope": None}]})
+
+    @pytest.mark.parametrize("doc", [{"tuple": 5}, {"set": 5}])
+    def test_non_list_bodies_rejected(self, doc):
+        tag = next(iter(doc))
+        with pytest.raises(InputError, match=rf"\$\.{tag}: expected a list"):
+            structure_from_json(doc)
+
+    def test_exp_labels_must_be_a_list(self):
+        doc = {"exp": {"base": {"id": None}, "labels": "xy"}}
+        with pytest.raises(InputError, match=r"\$\.exp\.labels"):
+            container_from_json(doc)
+
+
+def scrambled(doc):
+    """The same value as JSON, with every set's members reversed and its
+    first member repeated at the end."""
+    if isinstance(doc, list):
+        return [scrambled(x) for x in doc]
+    if not isinstance(doc, dict):
+        return doc
+    out = {k: scrambled(v) for k, v in doc.items()}
+    if "set" in out and out["set"]:
+        out["set"] = out["set"][::-1] + out["set"][-1:]
+    return out
+
+
+class TestStructureDecoder:
+    """The one-pass decoder against the reference path: structure_from_json,
+    then validate, then support."""
+
+    def check_against_reference(self, container, carrier, doc):
+        h, refs = structure_decoder(container, carrier)(doc)
+        expected = structure_from_json(doc)
+        assert validate(container, expected)
+        assert h == expected
+        assert refs == support(container, expected)
+
+    def test_matches_reference_on_random_systems(self):
+        rng = rng_for(2024)
+        for k in range(200):
+            make = random_coalgebra if k % 2 else random_wf_coalgebra
+            coalg = make(rng, 6, depth=3)
+            carrier = set(coalg.states)
+            for h in coalg.structure.values():
+                doc = structure_to_json(h)
+                self.check_against_reference(coalg.container, carrier, doc)
+                self.check_against_reference(coalg.container, carrier, scrambled(doc))
+
+    def test_unsorted_set_with_duplicates(self):
+        doc = {"set": [{"state": "b"}, {"state": "a"}, {"state": "b"}]}
+        self.check_against_reference(GRAPH, {"a", "b"}, doc)
+        assert structure_decoder(GRAPH, {"a", "b"})(doc) == (ref_set("a", "b"), {"a", "b"})
+
+    def test_equal_component_pair_is_star(self):
+        doc = {"pair": [{"state": "a"}, {"state": "a"}]}
+        self.check_against_reference(PairNeq(), {"a"}, doc)
+        assert structure_decoder(PairNeq(), {"a"})(doc) == (STAR, frozenset())
+
+    def test_equal_state_refs_are_shared(self):
+        decode = structure_decoder(Product((Identity(), Identity())), {"a"})
+        h, _ = decode({"tuple": [{"state": "a"}, {"state": "a"}]})
+        assert h.items[0] is h.items[1]
+        assert decode({"tuple": [{"state": "a"}, {"state": "a"}]})[0].items[0] is h.items[0]
+
+    @pytest.mark.parametrize(
+        "container, doc, error",
+        [
+            (GRAPH, {"set": [{"state": "a"}, {"stat": "a"}]}, r"\$\.set\[1\]: expected tag 'state', got 'stat'"),
+            (GRAPH, {"set": 5}, r"\$\.set: expected a list"),
+            (GRAPH, [], r"\$: expected a single-key object tagged 'set'"),
+            (GRAPH, {"set": [], "x": 1}, r"\$: expected a single-key object"),
+            (Identity(), {"state": ""}, r"\$\.state: expected a non-empty string"),
+            (Identity(), {"state": ["a"]}, r"\$\.state: expected a non-empty string"),
+            (Identity(), {"state": "ghost"}, r"\$\.state: 'ghost' is not a carrier state"),
+            (Const(("u", "v")), {"const": "w"}, r"\$\.const: expected one of \['u', 'v'\]"),
+            (Const(("u",)), {"const": ["u"]}, r"\$\.const: expected one of"),
+            (Sum(Identity(), Const(("n",))), {"inr": {"const": "m"}}, r"\$\.inr\.const"),
+            (Sum(Identity(), Const(("n",))), {"inx": None}, r"\$: expected tag 'inl' or 'inr'"),
+            (Product((Identity(), Identity())), {"tuple": 5}, r"\$\.tuple: expected a list of 2"),
+            (Product((Identity(), Identity())), {"tuple": [{"state": "a"}]}, r"\$\.tuple: expected a list of 2"),
+            (Product((Identity(), GRAPH)), {"tuple": [{"state": "a"}, {"set": [{"state": 3}]}]}, r"\$\.tuple\[1\]\.set\[0\]\.state"),
+            (Exp(Identity(), ("x", "y")), {"fun": {"x": {"state": "a"}}}, r"\$\.fun: expected an object with labels \['x', 'y'\]"),
+            (Exp(Identity(), ("x",)), {"fun": {"x": {"state": "ghost"}}}, r"\$\.fun\.x\.state"),
+            (PairNeq(), {"pair": [{"state": "a"}]}, r"\$\.pair: expected \[left, right\]"),
+            (PairNeq(), {"pair": [{"state": "a"}, {"const": "b"}]}, r"\$\.pair\[1\]: expected tag 'state'"),
+            (PairNeq(), {"star": 1}, r"\$\.star: expected null"),
+            (PairNeq(), {"pair": [{"state": "ghost"}, {"state": "ghost"}]}, r"\$\.pair\[0\]\.state: 'ghost' is not"),
+        ],
+    )
+    def test_errors_name_the_json_path(self, container, doc, error):
+        with pytest.raises(InputError, match=error):
+            structure_decoder(container, {"a"})(doc)
+
+    def test_where_prefixes_the_path(self):
+        with pytest.raises(InputError, match=r"^\$\.structure\.s\.set\[0\]\.state: "):
+            structure_decoder(GRAPH, {"a"})({"set": [{"state": "b"}]}, "$.structure.s")
 
 
 class TestConstructors:
