@@ -14,7 +14,6 @@ import argparse
 import gc
 import json
 import sys
-from dataclasses import dataclass
 
 from . import gallery
 from .coalgebras import (
@@ -58,20 +57,9 @@ EXIT_BUDGET = 2
 EXIT_INPUT = 3
 
 
-@dataclass
-class RunConfig:
-    fmt: str = "text"
-    budget: int = 10000
-    depth: int = 4
-    length: int = 50
-    seed: int = 0
-    state: str | None = None
-    algebra: str = "count"
-
-
-def _emit(doc: dict, config: RunConfig, text_lines) -> None:
+def _emit(doc: dict, config: argparse.Namespace, text_lines) -> None:
     """Print ``doc`` as JSON, or ``text_lines``, which only text mode reads."""
-    if config.fmt == "json":
+    if config.format == "json":
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         for line in text_lines:
@@ -121,7 +109,7 @@ def load_input(path: str):
 # commands
 
 
-def cmd_check_wf_many(paths, config: RunConfig) -> int:
+def cmd_check_wf_many(paths, config: argparse.Namespace) -> int:
     # independent analyses; reports are serialized per file, and the exit
     # code is the most severe verdict
     codes = []
@@ -132,7 +120,7 @@ def cmd_check_wf_many(paths, config: RunConfig) -> int:
     return max(codes)
 
 
-def cmd_check_wf(path: str, config: RunConfig) -> int:
+def cmd_check_wf(path: str, config: argparse.Namespace) -> int:
     kind, obj = load_input(path)
     if kind == "set-coalgebra":
         if isinstance(obj, LazyCoalgebra):
@@ -161,9 +149,7 @@ def cmd_check_wf(path: str, config: RunConfig) -> int:
     return EXIT_OK if verdict else EXIT_NOT_WF
 
 
-def cmd_koenig(path: str, config: RunConfig) -> int:
-    if config.state is None:
-        raise InputError("koenig needs --state")
+def cmd_koenig(path: str, config: argparse.Namespace) -> int:
     kind, obj = load_input(path)
     if kind == "set-coalgebra":
         result = koenig_extract(obj, config.state, config.budget)
@@ -230,7 +216,7 @@ def _shape_to_jsonable(shape):
     return shape
 
 
-def cmd_fold(path: str, config: RunConfig) -> int:
+def cmd_fold(path: str, config: argparse.Namespace) -> int:
     kind, obj = load_input(path)
     if kind != "set-coalgebra" or isinstance(obj, LazyCoalgebra):
         raise InputError("fold needs a finite set-coalgebra input")
@@ -269,7 +255,7 @@ def _load_term_doc(doc, where: str) -> Term:
     raise InputError(f"{where}: expected a term string or {{op, args}}")
 
 
-def cmd_realize(sig_path: str, structure_path: str, config: RunConfig) -> int:
+def cmd_realize(sig_path: str, structure_path: str, config: argparse.Namespace) -> int:
     kind, sig = load_input(sig_path)
     if kind != "signature":
         raise InputError(f"{sig_path}: expected kind 'signature'")
@@ -305,7 +291,7 @@ def cmd_realize(sig_path: str, structure_path: str, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_check_52(sig_path: str, config: RunConfig) -> int:
+def cmd_check_52(sig_path: str, config: argparse.Namespace) -> int:
     kind, sig = load_input(sig_path)
     if kind != "signature":
         raise InputError(f"{sig_path}: expected kind 'signature'")
@@ -340,7 +326,7 @@ def export_dot(nodes, edges) -> str:
     return "\n".join(lines)
 
 
-def cmd_export_dot(path: str, config: RunConfig) -> int:
+def cmd_export_dot(path: str) -> int:
     kind, obj = load_input(path)
     if kind == "set-coalgebra":
         if isinstance(obj, LazyCoalgebra):
@@ -358,7 +344,7 @@ def cmd_export_dot(path: str, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_gallery(name: str, config: RunConfig) -> int:
+def cmd_gallery(name: str, config: argparse.Namespace) -> int:
     if name == "list":
         for entry_name in gallery.gallery_names():
             entry = gallery.GALLERY[entry_name]
@@ -390,58 +376,69 @@ def cmd_gallery(name: str, config: RunConfig) -> int:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error exits 3, the input-error code (argparse's own 2 would
+    read as "budget exhausted")."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
+def _int_at_least(low: int):
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return count
+
+
+# every option any command takes; each command takes only those it reads
+_OPTIONS = {
+    "format": dict(choices=["text", "json"], default="text"),
+    "budget": dict(type=_int_at_least(1), default=10000),
+    "depth": dict(type=_int_at_least(0), default=4),
+    "length": dict(type=_int_at_least(1), default=50),
+    "state": dict(required=True),
+    "algebra": dict(choices=["term", "induction", "count"], default="count"),
+    "sig": dict(required=True),
+    "structure": dict(required=True),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coalg",
         description="analyze transition systems for well-foundedness, extract "
         "finite well-founded subsystems, and solve structural recursion",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=["text", "json"], default="text")
-        p.add_argument("--budget", type=int, default=10000)
-        p.add_argument("--depth", type=int, default=4)
-        p.add_argument("--length", type=int, default=50)
-        p.add_argument("--seed", type=int, default=0)
+    def command(name, help, run, options, positional=None, nargs=None):
+        p = sub.add_parser(name, help=help)
+        if positional:
+            p.add_argument(positional, nargs=nargs)
+        for option in options:
+            p.add_argument(f"--{option}", **_OPTIONS[option])
+        p.set_defaults(run=run)
 
-    p = sub.add_parser("check-wf", help="decide well-foundedness")
-    p.add_argument("input", nargs="+")
-    common(p)
-
-    p = sub.add_parser("wf-part", help="report the full well-founded part")
-    p.add_argument("input", nargs="+")
-    common(p)
-
-    p = sub.add_parser("koenig", help="extract a finite well-founded subsystem")
-    p.add_argument("input")
-    p.add_argument("--state", required=True)
-    common(p)
-
-    p = sub.add_parser("fold", help="solve structural recursion into a built-in algebra")
-    p.add_argument("input")
-    p.add_argument("--algebra", choices=["term", "induction", "count"], default="count")
-    common(p)
-
-    p = sub.add_parser("realize", help="realize a term structure as a finite system")
-    p.add_argument("--sig", required=True)
-    p.add_argument("--structure", required=True)
-    common(p)
-
-    p = sub.add_parser(
-        "check-5.2", help="check the closed-term fragment, both directions"
-    )
-    p.add_argument("--sig", required=True)
-    common(p)
-
-    p = sub.add_parser("gallery", help="run a built-in fixture ('list', 'all', or a name)")
-    p.add_argument("name")
-    common(p)
-
-    p = sub.add_parser("export-dot", help="emit the system graph as DOT")
-    p.add_argument("input")
-    common(p)
-
+    # each handler looks its command up when it runs, so tests can replace it
+    command("check-wf", "decide well-foundedness",
+            lambda a: cmd_check_wf_many(a.input, a), ["format"], "input", "+")
+    command("koenig", "extract a finite well-founded subsystem",
+            lambda a: cmd_koenig(a.input, a), ["format", "budget", "state"], "input")
+    command("fold", "solve structural recursion into a built-in algebra",
+            lambda a: cmd_fold(a.input, a), ["format", "algebra"], "input")
+    command("realize", "realize a term structure as a finite system",
+            lambda a: cmd_realize(a.sig, a.structure, a), ["format", "sig", "structure"])
+    command("check-5.2", "check the closed-term fragment, both directions",
+            lambda a: cmd_check_52(a.sig, a), ["format", "depth", "sig"])
+    command("gallery", "run a built-in fixture ('list', 'all', or a name)",
+            lambda a: cmd_gallery(a.name, a), ["format", "budget", "length"], "name")
+    command("export-dot", "emit the system graph as DOT",
+            lambda a: cmd_export_dot(a.input), [], "input")
     return parser
 
 
@@ -462,34 +459,8 @@ def main(argv=None) -> int:
 
 def _run(argv) -> int:
     args = build_parser().parse_args(argv)
-    config = RunConfig(
-        fmt=args.format,
-        budget=args.budget,
-        depth=args.depth,
-        length=args.length,
-        seed=args.seed,
-        state=getattr(args, "state", None),
-        algebra=getattr(args, "algebra", "count"),
-    )
-    if config.budget < 1 or config.depth < 0 or config.length < 1:
-        print("error: budget and length must be positive, depth nonnegative", file=sys.stderr)
-        return EXIT_INPUT
     try:
-        if args.command in ("check-wf", "wf-part"):
-            return cmd_check_wf_many(args.input, config)
-        if args.command == "koenig":
-            return cmd_koenig(args.input, config)
-        if args.command == "fold":
-            return cmd_fold(args.input, config)
-        if args.command == "realize":
-            return cmd_realize(args.sig, args.structure, config)
-        if args.command == "check-5.2":
-            return cmd_check_52(args.sig, config)
-        if args.command == "gallery":
-            return cmd_gallery(args.name, config)
-        if args.command == "export-dot":
-            return cmd_export_dot(args.input, config)
-        raise InputError(f"unknown command {args.command!r}")
+        return args.run(args)
     except FoundInfinitePathEvidence as exc:
         print(f"not well-founded: {exc}", file=sys.stderr)
         return EXIT_NOT_WF

@@ -22,12 +22,10 @@ from .containers import (
     container_to_json,
     hmap,
     identity_values,
-    interpret,
     set_of,
     structure_decoder,
     structure_to_json,
     support,
-    validate,
 )
 from .errors import (
     ContainerMismatchError,
@@ -57,9 +55,10 @@ class FiniteCoalgebra:
             )
         succ = {}
         for x, h in structure.items():
-            if not validate(container, h):
-                raise InputError(f"structure of state {x!r} is not a value of the container")
-            refs = support(container, h)
+            try:
+                refs = support(container, h)
+            except InputError:
+                raise InputError(f"structure of state {x!r} is not a value of the container") from None
             if not refs <= carrier:
                 raise InputError(
                     f"structure of state {x!r} references unknown states {sorted(refs - carrier)}"
@@ -68,11 +67,11 @@ class FiniteCoalgebra:
         self.container = container
         self.states = states
         self.structure = structure
-        self._succ: Optional[dict[str, frozenset[str]]] = succ
+        self._succ = succ
 
     @classmethod
-    def _trusted(cls, container, states, structure, succ=None):
-        # internal constructor for restrictions whose parts are already validated
+    def _trusted(cls, container, states, structure, succ):
+        # internal constructor for systems whose parts and successor map are already checked
         obj = cls.__new__(cls)
         obj.container = container
         obj.states = tuple(states)
@@ -88,10 +87,6 @@ class FiniteCoalgebra:
 
     @property
     def successor_map(self) -> dict[str, frozenset[str]]:
-        if self._succ is None:
-            self._succ = {
-                x: support(self.container, h) for x, h in self.structure.items()
-            }
         return self._succ
 
     def successors(self, state: str) -> frozenset[str]:
@@ -150,15 +145,17 @@ class LazyCoalgebra:
         self.name = name
 
     def structure_of(self, state: str) -> HStructure:
-        h = self.rule(state)
-        if not validate(self.container, h):
-            raise InputError(
-                f"lazy rule produced an invalid structure at state {state!r}"
-            )
-        return h
+        return self._checked(state)[0]
 
     def successors(self, state: str) -> frozenset[str]:
-        return support(self.container, self.structure_of(state))
+        return self._checked(state)[1]
+
+    def _checked(self, state: str) -> tuple[HStructure, frozenset[str]]:
+        h = self.rule(state)
+        try:
+            return h, support(self.container, h)
+        except InputError:
+            raise InputError(f"lazy rule produced an invalid structure at state {state!r}") from None
 
     def __repr__(self):
         tag = self.name or "anonymous"
@@ -283,9 +280,10 @@ def coproduct_extension(
     succ = dict(coalg.successor_map)
     for x in new_states:
         h = p[x]
-        if not validate(coalg.container, h):
-            raise InputError(f"extension structure of {x!r} is not a value of the container")
-        refs = support(coalg.container, h)
+        try:
+            refs = support(coalg.container, h)
+        except InputError:
+            raise InputError(f"extension structure of {x!r} is not a value of the container") from None
         if not refs <= old:
             raise DanglingRefError(
                 f"extension structure of {x!r} references non-old states {sorted(refs - old)}"
@@ -404,8 +402,3 @@ def coalgebra_from_json(doc) -> FiniteCoalgebra:
     for x in list(raw):
         structure[x], succ[x] = decode(raw.pop(x), f"$.structure.{x}")
     return FiniteCoalgebra._trusted(container, states, structure, succ)
-
-
-def evaluate_state_structure(coalg, alg: Algebra, state: str, env: Mapping[str, object]):
-    """One step of recursion: evaluate a state's structure under ``env``."""
-    return alg.eval(interpret(coalg.container, coalg.structure_of(state), env))

@@ -145,6 +145,7 @@ class Pair:
 HStructure = Union[StateRef, ConstVal, InL, InR, TupleOf, SetOf, FunOf, Star, Pair]
 
 STAR = Star()
+_IDENTITY = Identity()
 
 _KEY_TAGS = {
     StateRef: 0,
@@ -208,53 +209,69 @@ def make_pair(left: HStructure, right: HStructure) -> HStructure:
 # the three functor operations
 
 
-def validate(container: Container, h: HStructure) -> bool:
-    """Check that ``h`` is a well-typed, canonical value of ``container``.
+def support(container: Container, h: HStructure) -> frozenset[str]:
+    """The set of states occurring in ``h``, which must be a value of ``container``.
 
-    Set nodes must be sorted and duplicate-free, and a ``PairNeq`` pair must
-    have distinct components (the equal case is only legal as ``*``).
+    For every container in the grammar this is the least state set over
+    which ``h`` is expressible, so it doubles as the successor set of a
+    state whose transition structure is ``h``.  The same walk checks that
+    ``h`` is a well-typed, canonical value: constructor types, declared
+    ``Const`` labels, ``Product`` arity, set members strictly increasing
+    (sorted and duplicate-free), exactly the ``Exp`` labels, non-empty
+    state names, and distinct ``PairNeq`` components (the equal case is
+    only legal as ``*``).  The first mismatch raises :class:`InputError`.
     """
-    if isinstance(container, Identity):
-        return isinstance(h, StateRef) and bool(h.state)
-    if isinstance(container, Const):
-        return isinstance(h, ConstVal) and h.label in container.labels
-    if isinstance(container, Sum):
-        if isinstance(h, InL):
-            return validate(container.left, h.value)
-        if isinstance(h, InR):
-            return validate(container.right, h.value)
+    out: set[str] = set()
+    todo = [(container, h)]
+    while todo:
+        c, h = todo.pop()
+        if isinstance(c, Identity):
+            if not (isinstance(h, StateRef) and h.state):
+                raise _shape_error(c, h)
+            out.add(h.state)
+        elif isinstance(c, Const):
+            if not (isinstance(h, ConstVal) and h.label in c.labels):
+                raise _shape_error(c, h)
+        elif isinstance(c, Sum):
+            if isinstance(h, InL):
+                todo.append((c.left, h.value))
+            elif isinstance(h, InR):
+                todo.append((c.right, h.value))
+            else:
+                raise _shape_error(c, h)
+        elif isinstance(c, Product):
+            if not (isinstance(h, TupleOf) and len(h.items) == len(c.parts)):
+                raise _shape_error(c, h)
+            todo.extend(zip(c.parts, h.items))
+        elif isinstance(c, FinPow):
+            if not isinstance(h, SetOf):
+                raise _shape_error(c, h)
+            keys = [structure_key(x) for x in h.items]
+            if any(a >= b for a, b in zip(keys, keys[1:])):
+                raise InputError(f"set {h!r} is not sorted and duplicate-free")
+            todo.extend((c.inner, x) for x in h.items)
+        elif isinstance(c, Exp):
+            if not (isinstance(h, FunOf) and [lbl for lbl, _ in h.entries] == sorted(c.exponent)):
+                raise _shape_error(c, h)
+            todo.extend((c.base, v) for _, v in h.entries)
+        elif isinstance(c, PairNeq):
+            if isinstance(h, Pair) and h.left != h.right:
+                todo += ((_IDENTITY, h.left), (_IDENTITY, h.right))
+            elif not isinstance(h, Star):
+                raise _shape_error(c, h)
+        else:
+            raise InputError(f"unknown container: {c!r}")
+    return frozenset(out)
+
+
+def validate(container: Container, h: HStructure) -> bool:
+    """True iff ``h`` is a well-typed, canonical value of ``container``
+    (see :func:`support` for the checks)."""
+    try:
+        support(container, h)
+    except InputError:
         return False
-    if isinstance(container, Product):
-        return (
-            isinstance(h, TupleOf)
-            and len(h.items) == len(container.parts)
-            and all(validate(c, x) for c, x in zip(container.parts, h.items))
-        )
-    if isinstance(container, FinPow):
-        if not isinstance(h, SetOf):
-            return False
-        keys = [structure_key(x) for x in h.items]
-        if keys != sorted(set(keys)) or len(set(keys)) != len(keys):
-            return False
-        return all(validate(container.inner, x) for x in h.items)
-    if isinstance(container, Exp):
-        if not isinstance(h, FunOf):
-            return False
-        labels = [lbl for lbl, _ in h.entries]
-        if labels != sorted(container.exponent):
-            return False
-        return all(validate(container.base, v) for _, v in h.entries)
-    if isinstance(container, PairNeq):
-        if isinstance(h, Star):
-            return True
-        if isinstance(h, Pair):
-            return (
-                validate(Identity(), h.left)
-                and validate(Identity(), h.right)
-                and h.left != h.right
-            )
-        return False
-    raise InputError(f"unknown container: {container!r}")
+    return True
 
 
 def _shape_error(container, h):
@@ -308,51 +325,6 @@ def hmap(container: Container, f: Mapping[str, str], h: HStructure) -> HStructur
             )
         raise _shape_error(container, h)
     raise InputError(f"unknown container: {container!r}")
-
-
-def support(container: Container, h: HStructure) -> frozenset[str]:
-    """The set of states occurring in ``h``.
-
-    For every container in the grammar this is the least state set over
-    which ``h`` is expressible, so it doubles as the successor set of a
-    state whose transition structure is ``h``.
-    """
-    out: set[str] = set()
-    _collect_support(container, h, out)
-    return frozenset(out)
-
-
-def _collect_support(container, h, out):
-    if isinstance(container, Identity):
-        if not isinstance(h, StateRef):
-            raise _shape_error(container, h)
-        out.add(h.state)
-    elif isinstance(container, Const):
-        pass
-    elif isinstance(container, Sum):
-        if isinstance(h, InL):
-            _collect_support(container.left, h.value, out)
-        elif isinstance(h, InR):
-            _collect_support(container.right, h.value, out)
-        else:
-            raise _shape_error(container, h)
-    elif isinstance(container, Product):
-        for c, x in zip(container.parts, h.items):
-            _collect_support(c, x, out)
-    elif isinstance(container, FinPow):
-        for x in h.items:
-            _collect_support(container.inner, x, out)
-    elif isinstance(container, Exp):
-        for _, v in h.entries:
-            _collect_support(container.base, v, out)
-    elif isinstance(container, PairNeq):
-        if isinstance(h, Pair):
-            _collect_support(Identity(), h.left, out)
-            _collect_support(Identity(), h.right, out)
-        elif not isinstance(h, Star):
-            raise _shape_error(container, h)
-    else:
-        raise InputError(f"unknown container: {container!r}")
 
 
 def interpret(container: Container, h: HStructure, env: Mapping[str, object]):

@@ -419,7 +419,7 @@ def convex_from_json(doc) -> ConvexSpec:
     check_header(doc, "convex")
     n = doc.get("generators")
     succ = doc.get("successors")
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise InputError("$.generators: expected a positive integer")
     if not isinstance(succ, list) or len(succ) != n:
         raise InputError(f"$.successors: expected a list of {n} polytopes")

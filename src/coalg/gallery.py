@@ -9,7 +9,7 @@ double as the test bed for the acceptance suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .coalgebras import BudgetExhausted, FiniteCoalgebra, count_algebra
 from .containers import (
@@ -200,7 +200,6 @@ class GalleryEntry:
     build: Callable
     demo: Callable  # (config) -> (report dict, exit code)
     expected_exit: int
-    signature: Optional[Signature] = None
 
 
 def _fixed(builder):
@@ -265,7 +264,6 @@ _register(
         build_term_chain,
         _fixed(build_term_chain),
         0,
-        signature=TERM_CHAIN_SIGNATURE,
     )
 )
 _register(

@@ -153,7 +153,7 @@ def signature_from_json(doc) -> Signature:
         if (
             not isinstance(entry, dict)
             or not isinstance(entry.get("name"), str)
-            or not isinstance(entry.get("arity"), int)
+            or type(entry.get("arity")) is not int
         ):
             raise InputError(f"$.ops[{i}]: expected {{name, arity}}")
         out.append((entry["name"], entry["arity"]))

@@ -319,7 +319,7 @@ def _case_to_json(case: tuple):
 def _case_from_json(doc, where: str) -> tuple:
     if doc == "fresh":
         return FRESH_CASE
-    if isinstance(doc, dict) and set(doc) == {"reg"} and isinstance(doc["reg"], int):
+    if isinstance(doc, dict) and set(doc) == {"reg"} and type(doc["reg"]) is int:
         return reg(doc["reg"])
     raise InputError(f"{where}: expected 'fresh' or {{'reg': i}}")
 
@@ -335,7 +335,7 @@ def _slot_from_json(doc, where: str) -> tuple:
         return INPUT_SLOT
     if isinstance(doc, dict) and len(doc) == 1:
         tag, value = next(iter(doc.items()))
-        if tag in ("reg", "fresh") and isinstance(value, int):
+        if tag in ("reg", "fresh") and type(value) is int:
             return (tag, value)
     raise InputError(f"{where}: expected 'input', {{'reg': j}} or {{'fresh': m}}")
 
@@ -366,7 +366,7 @@ def nlts_from_json(doc) -> NLTSSpec:
     check_header(doc, "nlts")
     labels = doc.get("labels")
     if not isinstance(labels, dict) or not all(
-        isinstance(k, str) and isinstance(v, int) for k, v in labels.items()
+        isinstance(k, str) and type(v) is int for k, v in labels.items()
     ):
         raise InputError("$.labels: expected an object of label -> arity")
     rules_doc = doc.get("rules", [])
@@ -375,12 +375,17 @@ def nlts_from_json(doc) -> NLTSSpec:
     rules = []
     for i, rd in enumerate(rules_doc):
         where = f"$.rules[{i}]"
-        if not isinstance(rd, dict) or "from" not in rd or "case" not in rd:
+        if not isinstance(rd, dict) or not isinstance(rd.get("from"), str) or "case" not in rd:
             raise InputError(f"{where}: expected {{from, case, to}}")
+        to = rd.get("to", [])
+        if not isinstance(to, list):
+            raise InputError(f"{where}.to: expected a list")
         templates = []
-        for j, td in enumerate(rd.get("to", [])):
-            if not isinstance(td, dict) or "label" not in td or "assign" not in td:
+        for j, td in enumerate(to):
+            if not isinstance(td, dict) or not isinstance(td.get("label"), str):
                 raise InputError(f"{where}.to[{j}]: expected {{label, assign}}")
+            if not isinstance(td.get("assign"), list):
+                raise InputError(f"{where}.to[{j}].assign: expected a list")
             templates.append(
                 Template(
                     td["label"],

@@ -40,7 +40,6 @@ from .containers import (
     interpret,
     make_pair,
     support,
-    validate,
 )
 from .errors import (
     ContainerMismatchError,
@@ -236,9 +235,10 @@ def extend_recursion_solution(
     out = dict(values)
     for x in sorted(p):
         h = p[x]
-        if not validate(alg.container, h):
-            raise InputError(f"extension structure of {x!r} is not a value of the container")
-        refs = support(alg.container, h)
+        try:
+            refs = support(alg.container, h)
+        except InputError:
+            raise InputError(f"extension structure of {x!r} is not a value of the container") from None
         if not refs <= set(values):
             raise DanglingRefError(
                 f"extension structure of {x!r} references unsolved states {sorted(refs - set(values))}"

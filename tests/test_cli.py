@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from coalg.cli import export_dot, main
+from coalg.cli import build_parser, export_dot, main
 from coalg.coalgebras import coalgebra_to_json
 from coalg.convex import convex_to_json
 from coalg.gallery import (
@@ -219,6 +219,88 @@ class TestErrors:
         argv = ["check-5.2", "--sig", path] if doc["kind"] == "signature" else ["check-wf", path]
         assert main(argv) == 3
         assert "$.version: expected 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind, mutate, path",
+        [
+            ("nlts", lambda d: d["rules"][0].update(to=5), "$.rules[0].to: expected a list"),
+            ("nlts", lambda d: d["rules"][0]["to"][0].update(assign=5), "$.rules[0].to[0].assign: expected a list"),
+            ("nlts", lambda d: d["labels"].update(l0=True), "$.labels: expected an object of label -> arity"),
+            ("nlts", lambda d: d["rules"][0]["to"][0].update(label=["l1"]), "$.rules[0].to[0]: expected {label, assign}"),
+            ("nlts", lambda d: d["rules"][0].update({"from": ["l0"]}), "$.rules[0]: expected {from, case, to}"),
+            ("convex", lambda d: d.update(generators=True), "$.generators: expected a positive integer"),
+            ("signature", lambda d: d["ops"][0].update(arity=True), "$.ops[0]: expected {name, arity}"),
+        ],
+        ids=["nlts-to", "nlts-assign", "nlts-bool-arity", "nlts-list-label", "nlts-list-from",
+             "convex-bool-generators", "signature-bool-arity"],
+    )
+    def test_strict_decoders(self, tmp_path, capsys, kind, mutate, path):
+        doc = {
+            "nlts": nlts_to_json(build_nominal_two_label()),
+            "convex": convex_to_json(build_convex_self_loop()),
+            "signature": signature_to_json(Signature((("z", 0), ("s", 1)))),
+        }[kind]
+        mutate(doc)
+        file = write(tmp_path, "bad.json", doc)
+        argv = ["check-5.2", "--sig", file] if kind == "signature" else ["check-wf", file]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert path in err
+        assert "Traceback" not in err
+
+
+# the options each command takes
+COMMAND_OPTIONS = {
+    "check-wf": {"--format"},
+    "koenig": {"--format", "--budget", "--state"},
+    "fold": {"--format", "--algebra"},
+    "realize": {"--format", "--sig", "--structure"},
+    "check-5.2": {"--format", "--depth", "--sig"},
+    "gallery": {"--format", "--budget", "--length"},
+    "export-dot": set(),
+}
+
+
+class TestUsage:
+    def test_each_command_takes_only_the_options_it_reads(self):
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        taken = {
+            name: {o for a in p._actions for o in a.option_strings if o.startswith("--") and o != "--help"}
+            for name, p in sub.choices.items()
+        }
+        assert taken == COMMAND_OPTIONS
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check-wf", "gallery:chain", "--budget", "5"],
+            ["wf-part", "gallery:chain"],
+            ["gallery", "chain", "--seed", "1"],
+            ["export-dot", "gallery:chain", "--format", "json"],
+            ["koenig", "gallery:chain"],
+            ["koenig", "gallery:chain", "--state", "a", "--budget", "0"],
+            ["check-5.2", "--sig", "s.json", "--depth", "-1"],
+            ["gallery", "chain", "--length", "x"],
+            [],
+        ],
+        ids=lambda argv: " ".join(argv) or "no-command",
+    )
+    def test_usage_error_exits_three(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("usage: coalg")
+        assert "Traceback" not in err
+
+    def test_usage_error_exits_three_from_the_console(self, chain_file):
+        proc = subprocess.run(
+            [sys.executable, "-m", "coalg.cli", "check-wf", chain_file, "--budget", "5"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 3
+        assert "unrecognized arguments: --budget 5" in proc.stderr
 
 
 class TestCollectorPause:

@@ -5,6 +5,7 @@ import pytest
 from coalg.coalgebras import (
     BudgetExhausted,
     FiniteCoalgebra,
+    LazyCoalgebra,
     canonical_graph,
     coalgebra_from_json,
     coalgebra_to_json,
@@ -19,6 +20,7 @@ from coalg.containers import (
     Identity,
     PairNeq,
     STAR,
+    SetOf,
     StateRef,
     enumerate_structures,
     make_pair,
@@ -71,6 +73,13 @@ class TestConstruction:
     def test_structure_must_be_total(self):
         with pytest.raises(InputError):
             FiniteCoalgebra(GRAPH, ["a", "b"], {"a": set_of(())})
+
+    def test_non_value_keeps_its_message(self):
+        unsorted = SetOf((StateRef("b"), StateRef("a")))
+        with pytest.raises(InputError, match="structure of state 'a' is not a value of the container"):
+            FiniteCoalgebra(GRAPH, ["a", "b"], {"a": unsorted, "b": set_of(())})
+        with pytest.raises(InputError, match="extension structure of 'n' is not a value of the container"):
+            coproduct_extension(CHAIN, ["n"], {"n": unsorted})
 
     def test_refs_must_be_carrier_states(self):
         with pytest.raises(InputError):
@@ -208,6 +217,28 @@ class TestLeastSubcoalgebra:
     def test_budget_below_seed_rejected(self):
         with pytest.raises(InputError):
             least_subcoalgebra(CHAIN, {"a", "b"}, 1)
+
+    def test_lazy_successors_walk_each_structure_once(self, monkeypatch):
+        import coalg.coalgebras as coalgebras
+        import coalg.containers as containers
+
+        calls = []
+        real = coalgebras.support
+        monkeypatch.setattr(coalgebras, "support", lambda c, h: calls.append(h) or real(c, h))
+        monkeypatch.setattr(containers, "validate", lambda c, h: pytest.fail("validate called"))
+        ladder = integer_ladder()
+        rule, built = ladder.rule, []
+        ladder.rule = lambda x: built.append(x) or rule(x)
+        assert ladder.successors("1") == {"-2", "2"}
+        assert len(calls) == 1
+        assert isinstance(least_subcoalgebra(ladder, {"1"}, 50), BudgetExhausted)
+        # one walk per structure the rule built
+        assert len(calls) == len(built) > 40
+
+    def test_lazy_rule_giving_a_non_value_is_input_error(self):
+        bad = LazyCoalgebra(PairNeq(), lambda x: make_pair(StateRef(x), STAR))
+        with pytest.raises(InputError, match="lazy rule produced an invalid structure at state 'a'"):
+            bad.successors("a")
 
     def test_minimality_by_enumeration(self):
         rng = rng_for(29)

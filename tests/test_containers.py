@@ -137,6 +137,38 @@ class TestHmap:
 
 
 class TestSupport:
+    @pytest.mark.parametrize(
+        "container, h",
+        [
+            (Product((Identity(), Identity())), ref_set("a")),
+            (PairNeq(), Pair(StateRef("a"), StateRef("a"))),
+            (GRAPH, SetOf((StateRef("b"), StateRef("a")))),
+            (GRAPH, SetOf((StateRef("a"), StateRef("a")))),
+            (Exp(Identity(), ("x", "y")), fun_of({"x": StateRef("a")})),
+            (Const(("u", "v")), ConstVal("w")),
+            (Identity(), StateRef("")),
+            (Sum(Identity(), Identity()), StateRef("a")),
+            (PairNeq(), Pair(StateRef("a"), ConstVal("b"))),
+        ],
+        ids=[
+            "product-arity", "equal-pair", "unsorted-set", "repeated-member",
+            "exp-labels", "const-label", "empty-state", "sum-untagged", "pair-of-non-state",
+        ],
+    )
+    def test_non_values_raise(self, container, h):
+        # support is the one checked walk: whatever is not a value raises,
+        # and validate reports the same verdict
+        with pytest.raises(InputError):
+            support(container, h)
+        assert not validate(container, h)
+
+    def test_checks_nested_values(self):
+        c = FinPow(Product((Identity(), Const(("u",)))))
+        good = set_of([TupleOf((StateRef("a"), ConstVal("u")))])
+        assert support(c, good) == {"a"}
+        with pytest.raises(InputError):
+            support(c, set_of([TupleOf((StateRef("a"), ConstVal("w")))]))
+
     def test_set_support(self):
         assert support(GRAPH, ref_set("a", "b")) == {"a", "b"}
 
