@@ -245,6 +245,8 @@ def _load_term_doc(doc, where: str) -> Term:
 
         return parse_term(doc)
     if isinstance(doc, dict) and "op" in doc:
+        if not isinstance(doc["op"], str):
+            raise InputError(f"{where}.op: expected an operation name")
         args = doc.get("args", [])
         if not isinstance(args, list):
             raise InputError(f"{where}.args: expected a list")

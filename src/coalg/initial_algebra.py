@@ -13,6 +13,7 @@ the functor, checkable fragment by fragment with
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -37,24 +38,78 @@ from .containers import (
     hmap,
 )
 from .errors import InputError, check_header
-from .wellfounded import is_well_founded, solve_recursion
+from .wellfounded import solve_recursion, well_founded_part
 
 
-@dataclass(frozen=True)
 class Term:
-    """A closed term: an operation symbol applied to subterms."""
+    """A closed term: an operation symbol applied to subterms.
 
-    op: str
-    args: tuple["Term", ...] = ()
+    Terms are interned (hash-consed, after Filliâtre and Conchon,
+    "Type-safe modular hash-consing", 2006): ``Term(op, args)`` returns the
+    one live instance for that symbol and argument tuple, so equal terms
+    are the same object and ``==`` is identity.  The structural hash and
+    the height are computed once, from the children, when a term is first
+    built; the printed form is computed on first use and kept.  Terms are
+    immutable.
+    """
+
+    __slots__ = ("op", "args", "height", "_hash", "_text", "__weakref__")
+    _table: "weakref.WeakValueDictionary[tuple, Term]" = weakref.WeakValueDictionary()
+
+    def __new__(cls, op: str, args: Sequence["Term"] = ()):
+        args = tuple(args)
+        key = (op, args)
+        term = cls._table.get(key)
+        if term is None:
+            term = object.__new__(cls)
+            init = object.__setattr__
+            init(term, "op", op)
+            init(term, "args", args)
+            init(term, "height", 1 + max(a.height for a in args) if args else 0)
+            init(term, "_hash", hash(key))
+            init(term, "_text", None)
+            cls._table[key] = term
+        return term
+
+    def __hash__(self):
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Term")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable Term")
+
+    def __reduce__(self):
+        # copies and unpickled terms go through the table too
+        return Term, (self.op, self.args)
+
+    def __repr__(self):
+        return f"Term(op={self.op!r}, args={self.args!r})"
 
     def __str__(self):
-        if not self.args:
-            return self.op
-        return f"{self.op}({','.join(str(a) for a in self.args)})"
-
-    @property
-    def height(self) -> int:
-        return 0 if not self.args else 1 + max(a.height for a in self.args)
+        if self._text is None:
+            # one join over the tokens, without recursion; a subterm whose
+            # text is already kept is copied whole
+            parts = []
+            todo: list = [self]
+            while todo:
+                t = todo.pop()
+                if isinstance(t, str):
+                    parts.append(t)
+                elif t._text is not None:
+                    parts.append(t._text)
+                elif not t.args:
+                    parts.append(t.op)
+                else:
+                    parts.append(t.op + "(")
+                    todo.append(")")
+                    for i, a in enumerate(reversed(t.args)):
+                        if i:
+                            todo.append(",")
+                        todo.append(a)
+            object.__setattr__(self, "_text", "".join(parts))
+        return self._text
 
 
 def parse_term(text: str) -> Term:
@@ -121,18 +176,21 @@ class Signature:
                 raise InputError("empty operation symbol")
             if a < 0:
                 raise InputError(f"negative arity for {n!r}")
+        object.__setattr__(
+            self, "_by_name", {n: (i, a) for i, (n, a) in enumerate(self.ops)}
+        )
+
+    def _entry(self, op: str) -> tuple[int, int]:
+        entry = self._by_name.get(op) if isinstance(op, str) else None
+        if entry is None:
+            raise InputError(f"unknown operation symbol {op!r}")
+        return entry
 
     def arity(self, op: str) -> int:
-        for n, a in self.ops:
-            if n == op:
-                return a
-        raise InputError(f"unknown operation symbol {op!r}")
+        return self._entry(op)[1]
 
     def index(self, op: str) -> int:
-        for i, (n, _) in enumerate(self.ops):
-            if n == op:
-                return i
-        raise InputError(f"unknown operation symbol {op!r}")
+        return self._entry(op)[0]
 
 
 def signature_to_json(sig: Signature) -> dict:
@@ -184,8 +242,7 @@ def signature_container(sig: Signature) -> Container:
 
 def encode_structure(sig: Signature, op: str, children: Sequence[HStructure]) -> HStructure:
     """Wrap per-symbol payload into the signature functor's sum nesting."""
-    i = sig.index(op)
-    arity = sig.ops[i][1]
+    i, arity = sig._entry(op)
     if len(children) != arity:
         raise InputError(f"{op!r} takes {arity} children, got {len(children)}")
     if arity == 0:
@@ -333,18 +390,24 @@ def enumerate_terms(sig: Signature, depth: int, limit: int = 200_000) -> list[Te
     """All closed terms of height at most ``depth``, sorted by (height, text)."""
     if depth < 0:
         return []
-    terms: set[Term] = {Term(n) for n, a in sig.ops if a == 0}
+    terms = [Term(n) for n, a in sig.ops if a == 0]
+    start = 0  # terms[start:] are the terms of the greatest height so far
     for _ in range(depth):
-        prev = sorted(terms, key=lambda t: (t.height, str(t)))
+        end = len(terms)
         for name, arity in sig.ops:
-            if arity == 0:
-                continue
-            for combo in itertools.product(prev, repeat=arity):
-                terms.add(Term(name, combo))
-                if len(terms) > limit:
-                    raise InputError(
-                        f"term enumeration exceeded {limit} terms at depth {depth}"
-                    )
+            # each new term has a first argument of the greatest height:
+            # lower terms before it, any terms after it
+            for j in range(arity):
+                pools = (
+                    [terms[:start]] * j + [terms[start:end]] + [terms[:end]] * (arity - j - 1)
+                )
+                for combo in itertools.product(*pools):
+                    terms.append(Term(name, combo))
+                    if len(terms) > limit:
+                        raise InputError(
+                            f"term enumeration exceeded {limit} terms at depth {depth}"
+                        )
+        start = end
     return sorted(terms, key=lambda t: (t.height, str(t)))
 
 
@@ -514,27 +577,46 @@ class RealizationReport:
 
 
 def term_realization_report(sig: Signature, depth: int) -> RealizationReport:
-    """Check the closed-term fragment of height <= depth, both directions."""
+    """Check the closed-term fragment of height <= depth, both directions.
+
+    The fragment is closed under subterms, so it is realized as one finite
+    system with a state per term whose structure is the term's top node;
+    the realization of each term is the closure of its state.  One
+    well-founded-part fixpoint and one memoized recursion into the term
+    algebra then serve every term.
+    """
     terms = enumerate_terms(sig, depth)
+    # states are named by position: printed forms need not be distinct
+    # when symbol names contain brackets or commas
+    name = {t: str(i) for i, t in enumerate(terms)}
+    system = FiniteCoalgebra(
+        signature_container(sig),
+        name.values(),
+        {
+            name[t]: encode_structure(sig, t.op, [StateRef(name[a]) for a in t.args])
+            for t in terms
+        },
+    )
+    wf = well_founded_part(system).wf_part
+    values = solve_recursion(system, term_algebra(sig), roots=[x for x in system.states if x in wf])
     mismatches: list[str] = []
     realized_ok = 0
     for t in terms:
-        system, state = realize_hstructure(sig, t.op, t.args)
-        if not is_well_founded(system):
+        if name[t] not in wf:
             mismatches.append(f"realization of {t} is not well-founded")
             continue
-        back = unfold_to_term(sig, system, state)
+        back = values[name[t]]
         if back == t:
             realized_ok += 1
         else:
             mismatches.append(f"{t} unfolded to {back}")
-    lower = enumerate_terms(sig, depth - 1)
+    lower = [t for t in terms if t.height < depth]
     evaluated: set[Term] = set()
     structure_count = 0
-    for name, arity in sig.ops:
+    for op, arity in sig.ops:
         for combo in itertools.product(lower, repeat=arity):
             structure_count += 1
-            evaluated.add(Term(name, combo))
+            evaluated.add(Term(op, combo))
     return RealizationReport(
         sig,
         depth,

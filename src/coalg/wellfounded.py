@@ -148,11 +148,14 @@ def koenig_extract(coalg, state: str, budget: int):
     if isinstance(coalg, FiniteCoalgebra):
         restriction = coalg.restrict(closure)
     else:
-        restriction = FiniteCoalgebra(
-            coalg.container,
-            sorted(closure),
-            {x: coalg.structure_of(x) for x in sorted(closure)},
-        )
+        # one rule call and one checked walk per state.  The closure walk
+        # does not keep its successor sets: a probe that runs out of budget
+        # would hold them all for nothing (about 16 MB on 1e5 ladder states)
+        states = sorted(closure)
+        structure, succ = {}, {}
+        for x in states:
+            structure[x], succ[x] = coalg._checked(x)
+        restriction = FiniteCoalgebra._trusted(coalg.container, states, structure, succ)
     report = well_founded_part(restriction)
     if not report.is_well_founded:
         raise FoundInfinitePathEvidence(state, report)

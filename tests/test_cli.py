@@ -134,6 +134,25 @@ class TestRealizeAndFragmentCheck:
         assert doc["unfolded"] == "s(s(z))"
         assert len(doc["coalgebra"]["states"]) == 3
 
+    @pytest.mark.parametrize(
+        "structure,message",
+        [
+            ({"op": "s", "args": [{"op": ["z"]}]}, "$.args[0].op: expected an operation name"),
+            ({"op": "s", "args": [{"op": "s", "args": [{"op": {"z": 0}}]}]},
+             "$.args[0].args[0].op: expected an operation name"),
+            ({"op": ["s"], "args": []}, "unknown operation symbol ['s']"),
+        ],
+    )
+    def test_non_string_operation_is_input_error(self, tmp_path, capsys, structure, message):
+        sig = write(
+            tmp_path, "sig.json", signature_to_json(Signature((("z", 0), ("s", 1))))
+        )
+        structure = write(tmp_path, "structure.json", structure)
+        assert main(["realize", "--sig", sig, "--structure", structure]) == 3
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
     def test_fragment_check_depth_six(self, tmp_path, capsys):
         sig = write(
             tmp_path, "sig.json", signature_to_json(Signature((("z", 0), ("s", 1))))

@@ -1,6 +1,13 @@
+import copy
+import itertools
+import json
+import pickle
+import time
+
 import pytest
 
-from coalg.coalgebras import FiniteCoalgebra, count_algebra, induction_algebra, unfold_algebra
+from coalg import initial_algebra
+from coalg.coalgebras import Algebra, FiniteCoalgebra, count_algebra, induction_algebra, unfold_algebra
 from coalg.containers import (
     Const,
     FinPow,
@@ -75,6 +82,66 @@ class TestTerms:
         order = subterms(t)
         assert order.index(Term("leaf")) < order.index(t)
         assert len(order) == 3
+
+
+def chain(n):
+    """The unary term s(...s(z)...) of height n, built bottom-up."""
+    t = Term("z")
+    for _ in range(n):
+        t = Term("s", (t,))
+    return t
+
+
+class TestInternedTerms:
+    def test_equal_terms_are_one_object(self):
+        a = Term("node", (Term("leaf"), parse_term("node(leaf,leaf)")))
+        b = parse_term("node(leaf,node(leaf,leaf))")
+        assert a is b and a == b and hash(a) == hash(b)
+        assert Term("s", [Term("z")]) is Term("s", (Term("z"),))
+        assert Term("s", (Term("z"),)) != Term("s", (Term("s", (Term("z"),)),))
+
+    def test_deep_chains_without_recursion(self):
+        a, b = chain(9999), chain(9999)
+        assert a == b
+        assert a is b
+        assert a.height == 9999
+        assert a in {b} and b in {a: 1}
+        assert len(str(a)) == 3 * 9999 + 1
+        assert chain(9999) is not chain(9998)
+
+    def test_fields_str_and_repr(self):
+        t = parse_term("s(z)")
+        assert (t.op, t.args, t.height) == ("s", (Term("z"),), 1)
+        assert str(t) == str(t) == "s(z)"
+        assert repr(t) == "Term(op='s', args=(Term(op='z', args=()),))"
+
+    def test_immutable(self):
+        t = Term("z")
+        with pytest.raises(AttributeError):
+            t.op = "s"
+        with pytest.raises(AttributeError):
+            del t.height
+
+    def test_copies_are_the_shared_instance(self):
+        t = parse_term("node(leaf,node(leaf,leaf))")
+        assert copy.copy(t) is t
+        assert copy.deepcopy(t) is t
+        assert pickle.loads(pickle.dumps(t)) is t
+
+
+class TestSignatureLookup:
+    def test_index_and_arity(self):
+        sig = Signature((("a", 0), ("b", 1), ("c", 2)))
+        assert [(sig.index(n), sig.arity(n)) for n, _ in sig.ops] == [(0, 0), (1, 1), (2, 2)]
+
+    @pytest.mark.parametrize("op", ["d", "", ["a"], 0])
+    def test_unknown_symbol(self, op):
+        sig = Signature((("a", 0), ("b", 1)))
+        message = f"unknown operation symbol {op!r}"
+        for lookup in (sig.index, sig.arity, lambda o: encode_structure(sig, o, [])):
+            with pytest.raises(InputError) as info:
+                lookup(op)
+            assert str(info.value) == message
 
 
 class TestSignatureContainer:
@@ -225,6 +292,99 @@ class TestRealizationReport:
         report = term_realization_report(Signature((("s", 1),)), 3)
         assert report.term_count == 0
         assert report.passed
+
+
+def enumerate_terms_oracle(sig, depth):
+    """Reference enumeration: each round applies every symbol to every term so far."""
+    terms = {Term(n) for n, a in sig.ops if a == 0}
+    for _ in range(depth):
+        prev = list(terms)
+        for name, arity in sig.ops:
+            if arity:
+                terms.update(Term(name, c) for c in itertools.product(prev, repeat=arity))
+    return sorted(terms, key=lambda t: (t.height, str(t)))
+
+
+MIXED = (("f", 3), ("a", 0), ("g", 1), ("b", 0), ("h", 2))
+
+
+class TestEnumerateMatchesRounds:
+    @pytest.mark.parametrize(
+        "ops,depth",
+        [(MIXED, d) for d in range(3)] + [(MIXED[1:], 3), (PEANO.ops, 7), (TREES.ops, 4)],
+    )
+    def test_same_terms_in_the_same_order(self, ops, depth):
+        sig = Signature(ops)
+        assert enumerate_terms(sig, depth) == enumerate_terms_oracle(sig, depth)
+
+    def test_limit(self):
+        with pytest.raises(InputError, match="exceeded 600 terms at depth 4"):
+            enumerate_terms(TREES, 4, limit=600)
+        assert len(enumerate_terms(TREES, 4, limit=677)) == 677
+
+
+# to_json() of the reports, recorded from the per-term realization (one
+# system per term) that the shared realization must agree with
+GOLDEN_REPORTS = [
+    (PEANO, 6, '{"ops": [{"name": "z", "arity": 0}, {"name": "s", "arity": 1}], "depth": 6, "terms": 7, "realized": 7, "structures": 7, "distinctTerms": 7, "injective": true, "passed": true, "counterexamples": []}'),
+    (PEANO, 100, '{"ops": [{"name": "z", "arity": 0}, {"name": "s", "arity": 1}], "depth": 100, "terms": 101, "realized": 101, "structures": 101, "distinctTerms": 101, "injective": true, "passed": true, "counterexamples": []}'),
+    (TREES, 3, '{"ops": [{"name": "leaf", "arity": 0}, {"name": "node", "arity": 2}], "depth": 3, "terms": 26, "realized": 26, "structures": 26, "distinctTerms": 26, "injective": true, "passed": true, "counterexamples": []}'),
+]
+
+
+class TestSharedRealization:
+    @pytest.mark.parametrize("sig,depth,expected", GOLDEN_REPORTS, ids=["unary-6", "unary-100", "binary-3"])
+    def test_golden_reports(self, sig, depth, expected):
+        assert json.dumps(term_realization_report(sig, depth).to_json()) == expected
+
+    def test_deep_unary_fragment_is_fast(self):
+        start = time.perf_counter()
+        report = term_realization_report(PEANO, 1000)
+        elapsed = time.perf_counter() - start
+        assert report.passed and report.term_count == report.realized_ok == 1001
+        assert elapsed < 2.0, f"depth 1000 took {elapsed:.2f}s"
+
+    def test_wrong_unfolding_is_reported(self, monkeypatch):
+        real = initial_algebra.term_algebra
+        target = chain(4)
+
+        def faulty(sig):
+            alg = real(sig)
+
+            def ev(shape):
+                t = alg.eval(shape)
+                return chain(1) if t == target else t
+
+            return Algebra(alg.container, ev, name="term")
+
+        monkeypatch.setattr(initial_algebra, "term_algebra", faulty)
+        report = term_realization_report(PEANO, 5)
+        assert not report.passed
+        assert report.realized_ok == 4
+        assert report.mismatches == [
+            "s(s(s(s(z)))) unfolded to s(z)",
+            "s(s(s(s(s(z))))) unfolded to s(s(z))",
+        ]
+
+    @pytest.mark.parametrize("sig,depth", [(PEANO, 30), (TREES, 3)])
+    def test_one_support_walk_per_term(self, monkeypatch, sig, depth):
+        import coalg.coalgebras as coalgebras
+        import coalg.containers as containers
+        import coalg.wellfounded as wellfounded
+
+        calls = []
+        real = containers.support
+
+        def counted(c, h):
+            calls.append(h)
+            return real(c, h)
+
+        for module in (containers, coalgebras, wellfounded, initial_algebra):
+            if getattr(module, "support", None) is real:
+                monkeypatch.setattr(module, "support", counted)
+        report = term_realization_report(sig, depth)
+        assert report.passed
+        assert len(calls) == len(enumerate_terms(sig, depth)) == report.term_count
 
 
 def graph(edges):

@@ -238,6 +238,32 @@ class TestKoenigExtract:
         with pytest.raises(FoundInfinitePathEvidence):
             koenig_extract(g, "a", 100)
 
+    def test_lazy_closure_walks_each_structure_once_per_pass(self, monkeypatch):
+        import coalg.coalgebras as coalgebras
+        from coalg.coalgebras import LazyCoalgebra
+
+        supports, rules = [], []
+        real = coalgebras.support
+        monkeypatch.setattr(coalgebras, "support", lambda c, h: supports.append(h) or real(c, h))
+
+        def rule(x):
+            rules.append(x)
+            k = int(x)
+            return set_of([StateRef(str(k - 1))] if k else [])
+
+        closure = koenig_extract(LazyCoalgebra(GRAPH, rule), "99", 1000)
+        assert closure == {str(k) for k in range(100)}
+        # once in the closure walk and once for the restriction
+        assert len(rules) == len(supports) == 200
+
+    def test_lazy_cycle_evidence(self):
+        from coalg.coalgebras import LazyCoalgebra
+
+        fin = graph({"a": ["b"], "b": ["c"], "c": ["b"]})
+        with pytest.raises(FoundInfinitePathEvidence) as info:
+            koenig_extract(LazyCoalgebra(GRAPH, fin.structure_of), "a", 100)
+        assert info.value.report.wf_part == frozenset()
+
 
 INDUCTION_TABLE = [
     (frozenset(), 1),
