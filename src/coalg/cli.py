@@ -13,13 +13,13 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 
 from . import gallery
 from .coalgebras import (
     BudgetExhausted,
     LazyCoalgebra,
-    canonical_graph,
     coalgebra_from_json,
     coalgebra_to_json,
     count_algebra,
@@ -37,6 +37,7 @@ from .errors import (
 )
 from .initial_algebra import (
     Term,
+    parse_term,
     signature_from_json,
     realize_hstructure,
     term_realization_report,
@@ -57,40 +58,57 @@ EXIT_BUDGET = 2
 EXIT_INPUT = 3
 
 
+def _write(line: str) -> None:
+    """Print one line on stdout; every command writes through here.  If the
+    reader has closed the pipe, fd 1 goes to os.devnull and the command runs
+    on, so its exit code stays its verdict (see "Note on SIGPIPE" in the
+    documentation of the signal module)."""
+    try:
+        print(line)
+    except BrokenPipeError:
+        _stdout_to_devnull()
+
+
+def _stdout_to_devnull() -> None:
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def _emit(doc: dict, config: argparse.Namespace, text_lines) -> None:
     """Print ``doc`` as JSON, or ``text_lines``, which only text mode reads."""
     if config.format == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        _write(json.dumps(doc, indent=2, sort_keys=True))
     else:
         for line in text_lines:
-            print(line)
+            _write(line)
+
+
+def _read_json(path: str):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise InputError(
+            f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from None
+    except RecursionError:
+        limit = sys.getrecursionlimit()
+        raise InputError(f"{path}: JSON nested too deeply (the limit is about {limit} levels)") from None
 
 
 def load_input(path: str):
     """Returns (kind, object).  ``gallery:<name>`` addresses a fixture."""
     if path.startswith("gallery:"):
-        name = path.split(":", 1)[1]
-        try:
-            entry = gallery.get_entry(name)
-        except KeyError:
-            raise InputError(
-                f"unknown gallery entry {name!r}; try one of {', '.join(gallery.gallery_names())}"
-            ) from None
+        entry = gallery.get_entry(path.split(":", 1)[1])
         obj = entry.build()
         kind = "set-coalgebra" if entry.kind == "lazy-coalgebra" else entry.kind
         return kind, obj
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise InputError(
-            f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from None
-    del raw  # the text is as large as the document; free it before decoding
+    doc = _read_json(path)
     if not isinstance(doc, dict) or "kind" not in doc:
         raise InputError(f"{path}: expected a JSON object with a 'kind' field")
     kind = doc["kind"]
@@ -115,7 +133,7 @@ def cmd_check_wf_many(paths, config: argparse.Namespace) -> int:
     codes = []
     for path in paths:
         if len(paths) > 1:
-            print(f"=== {path} ===")
+            _write(f"=== {path} ===")
         codes.append(cmd_check_wf(path, config))
     return max(codes)
 
@@ -241,8 +259,6 @@ def cmd_fold(path: str, config: argparse.Namespace) -> int:
 
 def _load_term_doc(doc, where: str) -> Term:
     if isinstance(doc, str):
-        from .initial_algebra import parse_term
-
         return parse_term(doc)
     if isinstance(doc, dict) and "op" in doc:
         if not isinstance(doc["op"], str):
@@ -261,15 +277,7 @@ def cmd_realize(sig_path: str, structure_path: str, config: argparse.Namespace) 
     kind, sig = load_input(sig_path)
     if kind != "signature":
         raise InputError(f"{sig_path}: expected kind 'signature'")
-    try:
-        with open(structure_path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {structure_path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(
-            f"{structure_path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from None
+    doc = _read_json(structure_path)
     if not isinstance(doc, dict) or "op" not in doc:
         raise InputError(f"{structure_path}: expected {{op, args}}")
     args = [
@@ -333,16 +341,12 @@ def cmd_export_dot(path: str) -> int:
     if kind == "set-coalgebra":
         if isinstance(obj, LazyCoalgebra):
             raise InputError("export-dot needs a finite carrier")
-        graph = canonical_graph(obj)
-        nodes = list(graph.states)
-        edges = [(x, s) for x in graph.states for s in sorted(graph.successors(x))]
+        succ = obj.successor_map
     elif kind == "nlts":
-        og = orbit_graph(obj)
-        nodes = list(og)
-        edges = [(a, b) for a in og for b in sorted(og[a])]
+        succ = orbit_graph(obj)
     else:
         raise InputError(f"export-dot does not apply to kind {kind!r}")
-    print(export_dot(nodes, edges))
+    _write(export_dot(succ, [(a, b) for a, out in succ.items() for b in out]))
     return EXIT_OK
 
 
@@ -350,7 +354,7 @@ def cmd_gallery(name: str, config: argparse.Namespace) -> int:
     if name == "list":
         for entry_name in gallery.gallery_names():
             entry = gallery.GALLERY[entry_name]
-            print(f"{entry_name} [{entry.kind}] - {entry.description}")
+            _write(f"{entry_name} [{entry.kind}] - {entry.description}")
         return EXIT_OK
     if name == "all":
         all_ok = True
@@ -359,16 +363,11 @@ def cmd_gallery(name: str, config: argparse.Namespace) -> int:
             doc, code = entry.demo(config)
             match = code == entry.expected_exit
             all_ok = all_ok and match
-            print(f"=== {entry_name} [{entry.kind}] ===")
-            print(json.dumps(doc, indent=2, sort_keys=True))
-            print(f"exit: {code} (expected {entry.expected_exit}) {'ok' if match else 'MISMATCH'}")
+            _write(f"=== {entry_name} [{entry.kind}] ===")
+            _write(json.dumps(doc, indent=2, sort_keys=True))
+            _write(f"exit: {code} (expected {entry.expected_exit}) {'ok' if match else 'MISMATCH'}")
         return EXIT_OK if all_ok else EXIT_NOT_WF
-    try:
-        entry = gallery.get_entry(name)
-    except KeyError:
-        raise InputError(
-            f"unknown gallery entry {name!r}; try one of {', '.join(gallery.gallery_names())}"
-        ) from None
+    entry = gallery.get_entry(name)
     doc, code = entry.demo(config)
     _emit(doc, config, [json.dumps(doc, indent=2, sort_keys=True)])
     return code
@@ -457,21 +456,19 @@ def main(argv=None) -> int:
     finally:
         if collecting:
             gc.enable()
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:
+            _stdout_to_devnull()
 
 
 def _run(argv) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except FoundInfinitePathEvidence as exc:
+    except (FoundInfinitePathEvidence, NotWellFoundedError, CycleError) as exc:
         print(f"not well-founded: {exc}", file=sys.stderr)
         return EXIT_NOT_WF
-    except (NotWellFoundedError, CycleError) as exc:
-        print(f"not well-founded: {exc}", file=sys.stderr)
-        return EXIT_NOT_WF
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except AnalysisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

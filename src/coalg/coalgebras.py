@@ -127,21 +127,18 @@ class FiniteCoalgebra:
 class LazyCoalgebra:
     """A state system given by a structure rule, for infinite carriers.
 
-    The rule must be pure and deterministic; ``member`` is an optional,
-    advisory membership predicate (traversals follow the rule, not the
-    predicate).  Operations over lazy systems take explicit budgets.
+    The rule must be pure and deterministic.  Operations over lazy systems
+    take explicit budgets.
     """
 
     def __init__(
         self,
         container: Container,
         rule: Callable[[str], HStructure],
-        member: Optional[Callable[[str], bool]] = None,
         name: Optional[str] = None,
     ):
         self.container = container
         self.rule = rule
-        self.member = member
         self.name = name
 
     def structure_of(self, state: str) -> HStructure:
@@ -218,7 +215,6 @@ def canonical_graph(coalg):
     return LazyCoalgebra(
         graph_container,
         lambda x: set_of(StateRef(s) for s in coalg.successors(x)),
-        member=coalg.member,
         name=coalg.name,
     )
 

@@ -399,51 +399,6 @@ def identity_values(container: Container, shape):
         raise InputError(f"unknown container: {container!r}")
 
 
-def enumerate_structures(container: Container, states) -> list[HStructure]:
-    """All values of ``container`` over the given states, in canonical order.
-
-    Intended for small oracles and exhaustive checks; the powerset and
-    exponent cases grow fast, so inner domains are capped at 16 elements.
-    """
-    states = sorted(set(states))
-    if isinstance(container, Identity):
-        out = [StateRef(s) for s in states]
-    elif isinstance(container, Const):
-        out = [ConstVal(lbl) for lbl in container.labels]
-    elif isinstance(container, Sum):
-        out = [InL(x) for x in enumerate_structures(container.left, states)]
-        out += [InR(x) for x in enumerate_structures(container.right, states)]
-    elif isinstance(container, Product):
-        parts = [enumerate_structures(c, states) for c in container.parts]
-        out = [TupleOf(tuple(combo)) for combo in itertools.product(*parts)]
-    elif isinstance(container, FinPow):
-        inner = enumerate_structures(container.inner, states)
-        if len(inner) > 16:
-            raise InputError("powerset enumeration domain too large")
-        out = []
-        for r in range(len(inner) + 1):
-            for combo in itertools.combinations(inner, r):
-                out.append(set_of(combo))
-    elif isinstance(container, Exp):
-        inner = enumerate_structures(container.base, states)
-        labels = sorted(container.exponent)
-        if len(inner) ** len(labels) > 4096:
-            raise InputError("exponent enumeration domain too large")
-        out = [
-            FunOf(tuple(zip(labels, combo)))
-            for combo in itertools.product(inner, repeat=len(labels))
-        ]
-    elif isinstance(container, PairNeq):
-        out = [STAR]
-        for a in states:
-            for b in states:
-                if a != b:
-                    out.append(Pair(StateRef(a), StateRef(b)))
-    else:
-        raise InputError(f"unknown container: {container!r}")
-    return sorted(out, key=structure_key)
-
-
 # ---------------------------------------------------------------------------
 # JSON encoding (tagged single-key objects; round-trips exactly)
 

@@ -16,14 +16,15 @@ fixpoint on generators, computed in linear time:
 because a path from a mixed point projects to a path from some support
 generator, and paths from component generators combine into a path from
 the mix.  Non-WF verdicts are backed by constructive path witnesses whose
-steps carry exact mixing certificates; WF verdicts are backed by a strict
-rank-descent bound along sampled paths.  No floating point, no linear
-programming: membership claims are always certified by explicit
-combinations.
+steps carry exact mixing certificates; WF verdicts carry the generator
+ranks (the tests check them for strict descent along sampled paths).  No
+floating point, no linear programming: membership claims are always
+certified by explicit combinations.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -168,7 +169,7 @@ def successors(spec: ConvexSpec, p: CPoint) -> CPolytope:
         return CPolytope()
     out = []
     choices = [spec.polytopes[i].vertices for i in supp]
-    for combo in _product(choices):
+    for combo in itertools.product(*choices):
         coeffs = [ZERO] * spec.generators
         for i, v in zip(supp, combo):
             w = p.coeffs[i]
@@ -177,16 +178,6 @@ def successors(spec: ConvexSpec, p: CPoint) -> CPolytope:
                     coeffs[j] += w * c
         out.append(CPoint(tuple(coeffs)))
     return CPolytope(out)
-
-
-def _product(choice_lists):
-    if not choice_lists:
-        yield ()
-        return
-    head, *rest = choice_lists
-    for x in head:
-        for tail in _product(rest):
-            yield (x,) + tail
 
 
 # ---------------------------------------------------------------------------
@@ -377,42 +368,8 @@ def convex_path_witness(spec: ConvexSpec, g: int, length: int) -> Optional[Witne
     return WitnessPath(spec, unit(g, spec.generators), tuple(steps))
 
 
-def sample_support_path(spec: ConvexSpec, g: int, rng, max_steps: int) -> list[frozenset[int]]:
-    """Support evolution of a random successor path from generator g.
-
-    At each step one successor vertex is drawn per support generator; the
-    next point's support is exactly the union of the drawn vertices'
-    supports (all coefficients are nonnegative, so nothing cancels).  Stops
-    at a deadlock (some support generator has an empty polytope) or after
-    ``max_steps``.
-    """
-    supports = [frozenset([g])]
-    current = frozenset([g])
-    for _ in range(max_steps):
-        if any(spec.polytopes[i].is_empty for i in current):
-            break
-        nxt: set[int] = set()
-        for i in sorted(current):
-            v = rng.choice(spec.polytopes[i].vertices)
-            nxt |= v.support
-        current = frozenset(nxt)
-        supports.append(current)
-    return supports
-
-
 # ---------------------------------------------------------------------------
 # JSON
-
-
-def convex_to_json(spec: ConvexSpec) -> dict:
-    return {
-        "version": 1,
-        "kind": "convex",
-        "generators": spec.generators,
-        "successors": [
-            [[str(c) for c in v.coeffs] for v in poly] for poly in spec.polytopes
-        ],
-    }
 
 
 def convex_from_json(doc) -> ConvexSpec:

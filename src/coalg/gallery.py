@@ -26,6 +26,7 @@ from .containers import (
     set_of,
 )
 from .convex import CPolytope, ConvexSpec, convex_path_witness, convex_wf_fixpoint, point
+from .errors import InputError
 from .initial_algebra import Signature, signature_container, encode_structure
 from .nominal import (
     FRESH_CASE,
@@ -335,7 +336,7 @@ def gallery_names() -> list[str]:
     return sorted(GALLERY)
 
 
-def get_entry(name: str):
+def get_entry(name: str) -> GalleryEntry:
     if name not in GALLERY:
-        raise KeyError(name)
+        raise InputError(f"unknown gallery entry {name!r}; try one of {', '.join(gallery_names())}")
     return GALLERY[name]

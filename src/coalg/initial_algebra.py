@@ -193,14 +193,6 @@ class Signature:
         return self._entry(op)[0]
 
 
-def signature_to_json(sig: Signature) -> dict:
-    return {
-        "version": 1,
-        "kind": "signature",
-        "ops": [{"name": n, "arity": a} for n, a in sig.ops],
-    }
-
-
 def signature_from_json(doc) -> Signature:
     check_header(doc, "signature")
     ops = doc.get("ops")
@@ -256,29 +248,6 @@ def encode_structure(sig: Signature, op: str, children: Sequence[HStructure]) ->
     for _ in range(i):
         h = InR(h)
     return h
-
-
-def decode_structure(sig: Signature, h: HStructure) -> tuple[str, list[HStructure]]:
-    """Inverse of :func:`encode_structure`."""
-    k = len(sig.ops)
-    i = 0
-    while i < k - 1 and isinstance(h, InR):
-        h = h.value
-        i += 1
-    if i < k - 1:
-        if not isinstance(h, InL):
-            raise InputError(f"structure does not match the signature functor: {h!r}")
-        h = h.value
-    name, arity = sig.ops[i]
-    if arity == 0:
-        if not isinstance(h, ConstVal) or h.label != name:
-            raise InputError(f"bad constant payload for {name!r}: {h!r}")
-        return name, []
-    if arity == 1:
-        return name, [h]
-    if not isinstance(h, TupleOf) or len(h.items) != arity:
-        raise InputError(f"bad payload for {name!r}: {h!r}")
-    return name, list(h.items)
 
 
 def term_algebra(sig: Signature) -> Algebra:

@@ -9,8 +9,9 @@ permutation maps transitions to transitions, so one label stands for one
 orbit of states and the finite *orbit graph* on labels decides
 well-foundedness of the whole (infinite) system: an infinite concrete run
 exists iff the orbit graph has a cycle reachable from the start label.
-Both directions of that reduction are witnessed constructively
-(:func:`path_witness` lifts a cycle, :func:`simulate` projects runs).
+:func:`path_witness` lifts an orbit cycle to a verified concrete run; the
+other direction (every concrete run projects to an orbit path) is checked
+by random simulation in the tests.
 """
 
 from __future__ import annotations
@@ -141,7 +142,7 @@ def nominal_step(spec: NLTSSpec, state: NState, a: int) -> frozenset[NState]:
     The input case is determined by whether ``a`` equals a register; every
     matching template is instantiated.  Fresh placeholders take the
     smallest atoms outside registers + input, assigned in placeholder
-    order, which makes simulation deterministic.
+    order, which makes every step deterministic.
     """
     spec.check_state(state)
     if a in state.registers:
@@ -239,30 +240,6 @@ def path_witness(spec: NLTSSpec, state: NState, length: int) -> list[tuple[int, 
     return steps
 
 
-def simulate(spec: NLTSSpec, state: NState, rng, max_steps: int) -> list[tuple[int, NState]]:
-    """A random concrete run: random input atoms, random successor choice.
-
-    Stops at a deadlock or after ``max_steps``.  Atoms are drawn from the
-    current registers plus a small window of other atoms so both input
-    cases get exercised.
-    """
-    spec.check_state(state)
-    steps: list[tuple[int, NState]] = []
-    current = state
-    for _ in range(max_steps):
-        pool = sorted(set(current.registers) | set(range(4)))
-        a = rng.choice(pool)
-        successors = sorted(
-            nominal_step(spec, current, a), key=lambda s: (s.label, s.registers)
-        )
-        if not successors:
-            break
-        nxt = rng.choice(successors)
-        steps.append((a, nxt))
-        current = nxt
-    return steps
-
-
 def nominal_koenig_extract(spec: NLTSSpec, state: NState) -> frozenset[str]:
     """The labels reachable from the state's label in the orbit graph.
 
@@ -272,48 +249,14 @@ def nominal_koenig_extract(spec: NLTSSpec, state: NState) -> frozenset[str]:
     state is an input error whatever the verdict.
     """
     spec.check_state(state)
-    if not nominal_is_well_founded(spec):
+    graph = orbit_graph(spec)
+    if len(least_fixpoint(graph)) < len(graph):
         raise NotWellFoundedError("system is not well-founded")
-    return reach(orbit_graph(spec).__getitem__, [state.label])[0]
-
-
-# ---------------------------------------------------------------------------
-# atom permutations and canonical forms (used by the equivariance checks)
-
-
-def permute_atom(pi: Mapping[int, int], a: int) -> int:
-    return pi.get(a, a)
-
-
-def permute_state(pi: Mapping[int, int], state: NState) -> NState:
-    return NState(state.label, tuple(permute_atom(pi, a) for a in state.registers))
-
-
-def canonical_successor(state: NState, source_registers: tuple[int, ...], input_atom: int):
-    """Describe a successor relative to its source, forgetting fresh atoms.
-
-    Each register atom is classified as a source register index, the input
-    atom, or the n-th fresh atom in order of first occurrence.  Two
-    successor sets of permuted steps agree exactly on these forms.
-    """
-    fresh_order: dict[int, int] = {}
-    slots = []
-    for a in state.registers:
-        if a in source_registers:
-            slots.append(("reg", source_registers.index(a)))
-        elif a == input_atom:
-            slots.append(("input",))
-        else:
-            slots.append(("fresh", fresh_order.setdefault(a, len(fresh_order))))
-    return (state.label, tuple(slots))
+    return reach(graph.__getitem__, [state.label])[0]
 
 
 # ---------------------------------------------------------------------------
 # JSON
-
-
-def _case_to_json(case: tuple):
-    return "fresh" if case == FRESH_CASE else {"reg": case[1]}
 
 
 def _case_from_json(doc, where: str) -> tuple:
@@ -324,12 +267,6 @@ def _case_from_json(doc, where: str) -> tuple:
     raise InputError(f"{where}: expected 'fresh' or {{'reg': i}}")
 
 
-def _slot_to_json(slot: tuple):
-    if slot == INPUT_SLOT:
-        return "input"
-    return {slot[0]: slot[1]}
-
-
 def _slot_from_json(doc, where: str) -> tuple:
     if doc == "input":
         return INPUT_SLOT
@@ -338,28 +275,6 @@ def _slot_from_json(doc, where: str) -> tuple:
         if tag in ("reg", "fresh") and type(value) is int:
             return (tag, value)
     raise InputError(f"{where}: expected 'input', {{'reg': j}} or {{'fresh': m}}")
-
-
-def nlts_to_json(spec: NLTSSpec) -> dict:
-    return {
-        "version": 1,
-        "kind": "nlts",
-        "labels": dict(sorted(spec.labels.items())),
-        "rules": [
-            {
-                "from": rule.source,
-                "case": _case_to_json(rule.case),
-                "to": [
-                    {
-                        "label": tpl.label,
-                        "assign": [_slot_to_json(s) for s in tpl.assign],
-                    }
-                    for tpl in rule.templates
-                ],
-            }
-            for rule in spec.rules
-        ],
-    }
 
 
 def nlts_from_json(doc) -> NLTSSpec:

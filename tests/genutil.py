@@ -1,4 +1,5 @@
-"""Seeded random generators shared by the property and acceptance tests."""
+"""Seeded random generators shared by the property and acceptance tests,
+and the oracles and JSON encoders that only tests use."""
 
 import itertools
 import random
@@ -9,6 +10,7 @@ from coalg.containers import (
     ConstVal,
     Exp,
     FinPow,
+    FunOf,
     Identity,
     InL,
     InR,
@@ -21,10 +23,22 @@ from coalg.containers import (
     TupleOf,
     fun_of,
     set_of,
+    structure_key,
 )
 from coalg.coalgebras import FiniteCoalgebra
 from coalg.convex import CPoint, CPolytope, ConvexSpec
-from coalg.nominal import FRESH_CASE, NLTSSpec, Rule, Template, fresh_var, reg
+from coalg.errors import InputError
+from coalg.nominal import (
+    FRESH_CASE,
+    INPUT_SLOT,
+    NLTSSpec,
+    NState,
+    Rule,
+    Template,
+    fresh_var,
+    nominal_step,
+    reg,
+)
 
 LABELS = ("p", "q", "r")
 
@@ -356,3 +370,219 @@ def round_ranks(succ, any_of=frozenset()):
                 if x not in rank and any(s in rank for s in succ[x]):
                     rank[x] = round_no
                     changed = True
+
+
+# ---------------------------------------------------------------------------
+# exhaustive enumeration of container values
+
+
+def enumerate_structures(container, states):
+    """All values of ``container`` over the given states, in canonical order.
+
+    Intended for small oracles and exhaustive checks; the powerset and
+    exponent cases grow fast, so inner domains are capped at 16 elements.
+    """
+    states = sorted(set(states))
+    if isinstance(container, Identity):
+        out = [StateRef(s) for s in states]
+    elif isinstance(container, Const):
+        out = [ConstVal(lbl) for lbl in container.labels]
+    elif isinstance(container, Sum):
+        out = [InL(x) for x in enumerate_structures(container.left, states)]
+        out += [InR(x) for x in enumerate_structures(container.right, states)]
+    elif isinstance(container, Product):
+        parts = [enumerate_structures(c, states) for c in container.parts]
+        out = [TupleOf(tuple(combo)) for combo in itertools.product(*parts)]
+    elif isinstance(container, FinPow):
+        inner = enumerate_structures(container.inner, states)
+        if len(inner) > 16:
+            raise InputError("powerset enumeration domain too large")
+        out = []
+        for r in range(len(inner) + 1):
+            for combo in itertools.combinations(inner, r):
+                out.append(set_of(combo))
+    elif isinstance(container, Exp):
+        inner = enumerate_structures(container.base, states)
+        labels = sorted(container.exponent)
+        if len(inner) ** len(labels) > 4096:
+            raise InputError("exponent enumeration domain too large")
+        out = [
+            FunOf(tuple(zip(labels, combo)))
+            for combo in itertools.product(inner, repeat=len(labels))
+        ]
+    elif isinstance(container, PairNeq):
+        out = [STAR]
+        for a in states:
+            for b in states:
+                if a != b:
+                    out.append(Pair(StateRef(a), StateRef(b)))
+    else:
+        raise InputError(f"unknown container: {container!r}")
+    return sorted(out, key=structure_key)
+
+
+# ---------------------------------------------------------------------------
+# register systems: random runs, atom permutations and canonical forms
+# (the projection side of the orbit-graph reduction, and the equivariance
+# checks)
+
+
+def simulate(spec, state, rng, max_steps):
+    """A random concrete run: random input atoms, random successor choice.
+
+    Stops at a deadlock or after ``max_steps``.  Atoms are drawn from the
+    current registers plus a small window of other atoms so both input
+    cases get exercised.
+    """
+    spec.check_state(state)
+    steps = []
+    current = state
+    for _ in range(max_steps):
+        pool = sorted(set(current.registers) | set(range(4)))
+        a = rng.choice(pool)
+        successors = sorted(
+            nominal_step(spec, current, a), key=lambda s: (s.label, s.registers)
+        )
+        if not successors:
+            break
+        nxt = rng.choice(successors)
+        steps.append((a, nxt))
+        current = nxt
+    return steps
+
+
+def permute_atom(pi, a):
+    return pi.get(a, a)
+
+
+def permute_state(pi, state):
+    return NState(state.label, tuple(permute_atom(pi, a) for a in state.registers))
+
+
+def canonical_successor(state, source_registers, input_atom):
+    """Describe a successor relative to its source, forgetting fresh atoms.
+
+    Each register atom is classified as a source register index, the input
+    atom, or the n-th fresh atom in order of first occurrence.  Two
+    successor sets of permuted steps agree exactly on these forms.
+    """
+    fresh_order = {}
+    slots = []
+    for a in state.registers:
+        if a in source_registers:
+            slots.append(("reg", source_registers.index(a)))
+        elif a == input_atom:
+            slots.append(("input",))
+        else:
+            slots.append(("fresh", fresh_order.setdefault(a, len(fresh_order))))
+    return (state.label, tuple(slots))
+
+
+# ---------------------------------------------------------------------------
+# convex systems: sampled support paths (the rank-descent check of the WF
+# side)
+
+
+def sample_support_path(spec, g, rng, max_steps):
+    """Support evolution of a random successor path from generator g.
+
+    At each step one successor vertex is drawn per support generator; the
+    next point's support is exactly the union of the drawn vertices'
+    supports (all coefficients are nonnegative, so nothing cancels).  Stops
+    at a deadlock (some support generator has an empty polytope) or after
+    ``max_steps``.
+    """
+    supports = [frozenset([g])]
+    current = frozenset([g])
+    for _ in range(max_steps):
+        if any(spec.polytopes[i].is_empty for i in current):
+            break
+        nxt = set()
+        for i in sorted(current):
+            v = rng.choice(spec.polytopes[i].vertices)
+            nxt |= v.support
+        current = frozenset(nxt)
+        supports.append(current)
+    return supports
+
+
+# ---------------------------------------------------------------------------
+# signature functors: the inverse of coalg.initial_algebra.encode_structure
+
+
+def decode_structure(sig, h):
+    """Inverse of :func:`coalg.initial_algebra.encode_structure`."""
+    k = len(sig.ops)
+    i = 0
+    while i < k - 1 and isinstance(h, InR):
+        h = h.value
+        i += 1
+    if i < k - 1:
+        if not isinstance(h, InL):
+            raise InputError(f"structure does not match the signature functor: {h!r}")
+        h = h.value
+    name, arity = sig.ops[i]
+    if arity == 0:
+        if not isinstance(h, ConstVal) or h.label != name:
+            raise InputError(f"bad constant payload for {name!r}: {h!r}")
+        return name, []
+    if arity == 1:
+        return name, [h]
+    if not isinstance(h, TupleOf) or len(h.items) != arity:
+        raise InputError(f"bad payload for {name!r}: {h!r}")
+    return name, list(h.items)
+
+
+# ---------------------------------------------------------------------------
+# JSON encoders of the input documents the CLI reads
+
+
+def _case_to_json(case):
+    return "fresh" if case == FRESH_CASE else {"reg": case[1]}
+
+
+def _slot_to_json(slot):
+    if slot == INPUT_SLOT:
+        return "input"
+    return {slot[0]: slot[1]}
+
+
+def nlts_to_json(spec):
+    return {
+        "version": 1,
+        "kind": "nlts",
+        "labels": dict(sorted(spec.labels.items())),
+        "rules": [
+            {
+                "from": rule.source,
+                "case": _case_to_json(rule.case),
+                "to": [
+                    {
+                        "label": tpl.label,
+                        "assign": [_slot_to_json(s) for s in tpl.assign],
+                    }
+                    for tpl in rule.templates
+                ],
+            }
+            for rule in spec.rules
+        ],
+    }
+
+
+def convex_to_json(spec):
+    return {
+        "version": 1,
+        "kind": "convex",
+        "generators": spec.generators,
+        "successors": [
+            [[str(c) for c in v.coeffs] for v in poly] for poly in spec.polytopes
+        ],
+    }
+
+
+def signature_to_json(sig):
+    return {
+        "version": 1,
+        "kind": "signature",
+        "ops": [{"name": n, "arity": a} for n, a in sig.ops],
+    }

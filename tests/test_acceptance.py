@@ -30,7 +30,6 @@ from coalg.convex import (
     convex_path_witness,
     convex_wf_fixpoint,
     mix,
-    sample_support_path,
 )
 from coalg.gallery import GALLERY
 from coalg.initial_algebra import (
@@ -47,7 +46,6 @@ from coalg.nominal import (
     nominal_wf_labels,
     orbit_graph,
     path_witness,
-    simulate,
 )
 from coalg.wellfounded import (
     extend_recursion_solution,
@@ -72,6 +70,8 @@ from genutil import (
     random_nlts,
     random_wf_coalgebra,
     rng_for,
+    sample_support_path,
+    simulate,
     vertex_choices,
 )
 

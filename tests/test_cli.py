@@ -1,13 +1,14 @@
 import gc
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from coalg.cli import build_parser, export_dot, main
 from coalg.coalgebras import coalgebra_to_json
-from coalg.convex import convex_to_json
 from coalg.gallery import (
     GALLERY,
     build_chain,
@@ -16,8 +17,23 @@ from coalg.gallery import (
     build_self_loop,
     build_term_chain,
 )
-from coalg.initial_algebra import Signature, signature_to_json
-from coalg.nominal import FRESH_CASE, NLTSSpec, Rule, Template, nlts_to_json
+from coalg.initial_algebra import Signature
+from coalg.nominal import FRESH_CASE, NLTSSpec, Rule, Template
+
+from genutil import convex_to_json, nlts_to_json, signature_to_json
+
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+
+
+def run_cli(argv, **kwargs):
+    """Run ``python -m coalg.cli`` on the source tree in a fresh interpreter."""
+    path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run(
+        [sys.executable, "-m", "coalg.cli", *argv], env=env, timeout=300, **kwargs
+    )
 
 
 def write(tmp_path, name, doc):
@@ -207,6 +223,12 @@ class TestErrors:
     def test_missing_file(self, capsys):
         assert main(["check-wf", "/nonexistent/x.json"]) == 3
 
+    def test_file_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert main(["check-wf", str(path)]) == 3
+        assert "cannot read" in capsys.readouterr().err
+
     def test_non_list_tuple_is_input_error(self, tmp_path, capsys):
         doc = coalgebra_to_json(build_chain())
         doc["functor"] = {"product": [{"id": None}]}
@@ -369,3 +391,73 @@ class TestGallery:
         )
         assert proc.returncode == 0
         assert "wellFounded" in proc.stdout
+
+
+class TestDeepJson:
+    """JSON nested beyond the decoder's recursion limit is an input error,
+    in every command that reads a file."""
+
+    @pytest.fixture
+    def deep_file(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 3000 + "]" * 3000, encoding="utf-8")
+        return str(path)
+
+    def assert_names_the_limit(self, capsys):
+        err = capsys.readouterr().err
+        assert "nested too deeply" in err
+        assert str(sys.getrecursionlimit()) in err
+
+    @pytest.mark.parametrize("command", ["check-wf", "fold", "export-dot"])
+    def test_input_file(self, command, deep_file, capsys):
+        assert main([command, deep_file]) == 3
+        self.assert_names_the_limit(capsys)
+
+    def test_realize_structure_file(self, tmp_path, capsys):
+        sig = write(tmp_path, "sig.json", signature_to_json(Signature((("z", 0), ("s", 1)))))
+        structure = tmp_path / "structure.json"
+        structure.write_text(
+            '{"op": "s", "args": [' * 3000 + '"z"' + "]}" * 3000, encoding="utf-8"
+        )
+        assert main(["realize", "--sig", sig, "--structure", str(structure)]) == 3
+        self.assert_names_the_limit(capsys)
+
+
+class TestClosedStdout:
+    """A reader that closes the pipe early (``coalg ... | head``) leaves the
+    exit code as the verdict, with nothing on stderr."""
+
+    def run_into_closed_pipe(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            return run_cli(argv, stdout=write_end, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+
+    def test_check_wf_on_a_large_dag(self, tmp_path):
+        n = 20_000
+        structure = {
+            f"s{i}": {"set": [{"state": f"s{j}"} for j in (i - 2, i - 1) if j >= 0]}
+            for i in range(n)
+        }
+        dag = write(tmp_path, "dag.json", {
+            "version": 1,
+            "kind": "set-coalgebra",
+            "functor": {"finpow": {"id": None}},
+            "states": list(structure),
+            "structure": structure,
+        })
+        proc = self.run_into_closed_pipe(["check-wf", dag, "--format", "json"])
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+    def test_gallery_all(self):
+        proc = self.run_into_closed_pipe(["gallery", "all"])
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("name", ["all", "list"])
+def test_gallery_output_is_golden(name):
+    proc = run_cli(["gallery", name], capture_output=True)
+    assert proc.returncode == 0
+    assert proc.stdout == (GOLDEN / f"gallery_{name}.txt").read_bytes()

@@ -22,7 +22,6 @@ from coalg.containers import (
     STAR,
     SetOf,
     StateRef,
-    enumerate_structures,
     make_pair,
     set_of,
     structure_from_json,
@@ -36,6 +35,7 @@ from coalg.errors import (
 from coalg.wellfounded import integer_ladder
 
 from genutil import (
+    enumerate_structures,
     random_coalgebra,
     random_extension,
     random_graph,

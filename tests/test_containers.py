@@ -19,7 +19,6 @@ from coalg.containers import (
     TupleOf,
     container_from_json,
     container_to_json,
-    enumerate_structures,
     fun_of,
     hmap,
     interpret,
@@ -34,6 +33,7 @@ from coalg.containers import (
 from coalg.errors import InputError, UnknownStateError
 
 from genutil import (
+    enumerate_structures,
     random_coalgebra,
     random_container,
     random_structure,

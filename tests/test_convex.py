@@ -3,17 +3,16 @@ from fractions import Fraction
 import pytest
 
 from coalg.convex import (
+    CPoint,
     CPolytope,
     ConvexSpec,
     certify_membership,
     convex_from_json,
     convex_path_witness,
-    convex_to_json,
     convex_wf_fixpoint,
     mix,
     mix_sets,
     point,
-    sample_support_path,
     successors,
     unit,
 )
@@ -23,11 +22,13 @@ from genutil import (
     blend_certificate,
     combine_choice,
     convex_round_ranks,
+    convex_to_json,
     non_wf_greatest_fixpoint,
     random_convex_spec,
     random_cpoint,
     random_fraction01,
     rng_for,
+    sample_support_path,
     vertex_choices,
 )
 
@@ -102,6 +103,15 @@ class TestSuccessors:
     def test_empty_component_absorbs(self):
         spec = ConvexSpec([CPolytope([unit(0, 2)]), CPolytope()])
         assert successors(spec, point(["1/2", "1/2"])).is_empty
+
+    def test_support_wider_than_the_recursion_limit(self):
+        # one vertex choice per support generator: 1200 generators at the
+        # uniform point, more than Python's default recursion limit
+        n = 1200
+        to_first = CPolytope([unit(0, n)])
+        spec = ConvexSpec([to_first] * n)
+        uniform = CPoint(tuple(F(1, n) for _ in range(n)))
+        assert successors(spec, uniform) == to_first
 
 
 class TestAffinity:

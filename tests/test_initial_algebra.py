@@ -23,7 +23,6 @@ from coalg.initial_algebra import (
     Signature,
     Term,
     diagram_colimit,
-    decode_structure,
     encode_structure,
     enumerate_terms,
     parse_term,
@@ -41,7 +40,7 @@ from coalg.wellfounded import (
     well_founded_part,
 )
 
-from genutil import random_wf_coalgebra, random_extension, rng_for
+from genutil import decode_structure, random_wf_coalgebra, random_extension, rng_for
 
 PEANO = Signature((("z", 0), ("s", 1)))
 TREES = Signature((("leaf", 0), ("node", 2)))

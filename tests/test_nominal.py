@@ -8,24 +8,29 @@ from coalg.nominal import (
     NState,
     Rule,
     Template,
-    canonical_successor,
     fresh_var,
     nlts_from_json,
-    nlts_to_json,
     nominal_is_well_founded,
     nominal_koenig_extract,
     nominal_step,
     nominal_wf_labels,
     orbit_graph,
     path_witness,
-    permute_atom,
-    permute_state,
     reg,
-    simulate,
     state_from_text,
 )
 
-from genutil import random_nlts, random_permutation, rng_for, round_ranks
+from genutil import (
+    canonical_successor,
+    nlts_to_json,
+    permute_atom,
+    permute_state,
+    random_nlts,
+    random_permutation,
+    rng_for,
+    round_ranks,
+    simulate,
+)
 
 TWO_LABEL = NLTSSpec(
     {"l0": 1, "l1": 1},

@@ -389,11 +389,8 @@ class TestIntegerLadder:
         assert not is_well_founded(window)
 
     def test_window_radius_is_advisory_only(self):
-        # the membership predicate reflects the radius, but traversal
-        # follows the structure rule, so budgets still run out
-        ladder = integer_ladder(window_radius=3)
-        assert ladder.member("3") and not ladder.member("4")
-        assert not ladder.member("0")
+        # traversal follows the structure rule, so budgets still run out
+        ladder = integer_ladder()
         assert isinstance(koenig_extract(ladder, "1", 500), BudgetExhausted)
 
     def test_recursion_constant_and_square(self):
