@@ -263,14 +263,15 @@ def _load_term_doc(doc, where: str) -> Term:
     if isinstance(doc, dict) and "op" in doc:
         if not isinstance(doc["op"], str):
             raise InputError(f"{where}.op: expected an operation name")
-        args = doc.get("args", [])
-        if not isinstance(args, list):
-            raise InputError(f"{where}.args: expected a list")
-        return Term(
-            doc["op"],
-            tuple(_load_term_doc(a, f"{where}.args[{i}]") for i, a in enumerate(args)),
-        )
+        return Term(doc["op"], _load_term_args(doc, where))
     raise InputError(f"{where}: expected a term string or {{op, args}}")
+
+
+def _load_term_args(doc: dict, where: str) -> tuple:
+    args = doc.get("args", [])
+    if not isinstance(args, list):
+        raise InputError(f"{where}.args: expected a list")
+    return tuple(_load_term_doc(a, f"{where}.args[{i}]") for i, a in enumerate(args))
 
 
 def cmd_realize(sig_path: str, structure_path: str, config: argparse.Namespace) -> int:
@@ -280,10 +281,8 @@ def cmd_realize(sig_path: str, structure_path: str, config: argparse.Namespace) 
     doc = _read_json(structure_path)
     if not isinstance(doc, dict) or "op" not in doc:
         raise InputError(f"{structure_path}: expected {{op, args}}")
-    args = [
-        _load_term_doc(a, f"$.args[{i}]") for i, a in enumerate(doc.get("args", []))
-    ]
-    system, state = realize_hstructure(sig, doc["op"], args)
+    # the signature reports a top symbol that is not a string as unknown
+    system, state = realize_hstructure(sig, doc["op"], _load_term_args(doc, "$"))
     unfolded = unfold_to_term(sig, system, state)
     out = {
         "coalgebra": coalgebra_to_json(system),

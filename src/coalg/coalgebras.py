@@ -9,7 +9,6 @@ budget-guarded by the caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional
 
 from .containers import (
@@ -36,6 +35,7 @@ from .errors import (
     check_header,
 )
 from .fixpoint import reach
+from .records import record
 
 
 class FiniteCoalgebra:
@@ -159,7 +159,7 @@ class LazyCoalgebra:
         return f"LazyCoalgebra({tag!r} over {self.container!r})"
 
 
-@dataclass(frozen=True)
+@record
 class BudgetExhausted:
     """Closure search gave up: the closure was not confirmed finite in budget.
 

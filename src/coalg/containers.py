@@ -13,21 +13,21 @@ duplicate-free so that structural equality is plain ``==``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
 from .errors import InputError, UnknownStateError
+from .records import record
 
 # ---------------------------------------------------------------------------
 # containers
 
 
-@dataclass(frozen=True)
+@record
 class Identity:
     """One state slot."""
 
 
-@dataclass(frozen=True)
+@record
 class Const:
     """A fixed finite set of labels; no state slots."""
 
@@ -40,13 +40,13 @@ class Const:
             raise InputError(f"duplicate Const labels: {self.labels}")
 
 
-@dataclass(frozen=True)
+@record
 class Sum:
     left: "Container"
     right: "Container"
 
 
-@dataclass(frozen=True)
+@record
 class Product:
     parts: tuple["Container", ...]
 
@@ -55,14 +55,14 @@ class Product:
             raise InputError("Product needs at least one component")
 
 
-@dataclass(frozen=True)
+@record
 class FinPow:
     """Finite sets of inner values."""
 
     inner: "Container"
 
 
-@dataclass(frozen=True)
+@record
 class Exp:
     """Functions from a fixed finite label set into inner values."""
 
@@ -76,7 +76,7 @@ class Exp:
             raise InputError(f"duplicate Exp labels: {self.exponent}")
 
 
-@dataclass(frozen=True)
+@record
 class PairNeq:
     """Ordered pairs of *distinct* states, plus a point ``*``.
 
@@ -92,51 +92,51 @@ Container = Union[Identity, Const, Sum, Product, FinPow, Exp, PairNeq]
 # structure values
 
 
-@dataclass(frozen=True)
+@record
 class StateRef:
     state: str
 
 
-@dataclass(frozen=True)
+@record
 class ConstVal:
     label: str
 
 
-@dataclass(frozen=True)
+@record
 class InL:
     value: "HStructure"
 
 
-@dataclass(frozen=True)
+@record
 class InR:
     value: "HStructure"
 
 
-@dataclass(frozen=True)
+@record
 class TupleOf:
     items: tuple["HStructure", ...]
 
 
-@dataclass(frozen=True)
+@record
 class SetOf:
     """A finite set, stored sorted and duplicate-free (use :func:`set_of`)."""
 
     items: tuple["HStructure", ...]
 
 
-@dataclass(frozen=True)
+@record
 class FunOf:
     """A function as label/value entries sorted by label (use :func:`fun_of`)."""
 
     entries: tuple[tuple[str, "HStructure"], ...]
 
 
-@dataclass(frozen=True)
+@record
 class Star:
     """The collapsed-diagonal point of ``PairNeq``."""
 
 
-@dataclass(frozen=True)
+@record
 class Pair:
     left: "HStructure"
     right: "HStructure"

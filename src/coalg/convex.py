@@ -25,18 +25,18 @@ certified by explicit combinations.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InputError, check_header
 from .fixpoint import least_fixpoint
+from .records import record
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
+@record
 class CPoint:
     """A convex combination of the generators: nonnegative, sums to one."""
 
@@ -184,7 +184,7 @@ def successors(spec: ConvexSpec, p: CPoint) -> CPolytope:
 # membership certificates
 
 
-@dataclass(frozen=True)
+@record
 class SuccessorCertificate:
     """Witness that a point lies in successors(spec, p).
 
@@ -239,7 +239,7 @@ def vertex_choice_certificate(
 # well-foundedness fixpoint
 
 
-@dataclass(frozen=True)
+@record
 class ConvexWfReport:
     """Per-generator verdicts of the well-foundedness fixpoint.
 
@@ -292,13 +292,13 @@ def convex_wf_fixpoint(spec: ConvexSpec) -> ConvexWfReport:
 # path witnesses
 
 
-@dataclass(frozen=True)
+@record
 class WitnessStep:
     point: CPoint
     certificate: SuccessorCertificate
 
 
-@dataclass(frozen=True)
+@record
 class WitnessPath:
     """A verified path start -> steps[0].point -> steps[1].point -> ...
 

@@ -8,7 +8,6 @@ double as the test bed for the acceptance suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .coalgebras import BudgetExhausted, FiniteCoalgebra, count_algebra
@@ -40,6 +39,7 @@ from .nominal import (
     nominal_wf_labels,
     path_witness,
 )
+from .records import record
 from .wellfounded import (
     integer_ladder,
     integer_ladder_recursion,
@@ -193,7 +193,7 @@ def _convex_verdict(spec: ConvexSpec, config):
     return doc, 0
 
 
-@dataclass
+@record(frozen=False)
 class GalleryEntry:
     name: str
     kind: str

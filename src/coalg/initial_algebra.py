@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .coalgebras import (
@@ -38,6 +37,7 @@ from .containers import (
     hmap,
 )
 from .errors import InputError, check_header
+from .records import record
 from .wellfounded import solve_recursion, well_founded_part
 
 
@@ -85,7 +85,22 @@ class Term:
         return Term, (self.op, self.args)
 
     def __repr__(self):
-        return f"Term(op={self.op!r}, args={self.args!r})"
+        # the dataclass-style text, with ``args`` as a tuple, built
+        # without recursion
+        parts = []
+        todo: list = [self]
+        while todo:
+            t = todo.pop()
+            if isinstance(t, str):
+                parts.append(t)
+                continue
+            parts.append(f"Term(op={t.op!r}, args=(")
+            todo.append(",))" if len(t.args) == 1 else "))")
+            for i, a in enumerate(reversed(t.args)):
+                if i:
+                    todo.append(", ")
+                todo.append(a)
+        return "".join(parts)
 
     def __str__(self):
         if self._text is None:
@@ -155,7 +170,7 @@ def parse_term(text: str) -> Term:
     return term
 
 
-@dataclass(frozen=True)
+@record
 class Signature:
     """Operation symbols with arities; symbols must be distinct.
 
@@ -163,6 +178,7 @@ class Signature:
     but every enumeration is vacuous).
     """
 
+    __slots__ = ("_by_name",)  # name -> (index, arity), built once
     ops: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
@@ -407,7 +423,7 @@ class UnionFind:
         self.size[i] += self.size[j]
 
 
-@dataclass
+@record(frozen=False)
 class DiagramSpec:
     """A finite diagram: systems over one container plus morphisms between
     them, each morphism given as (source index, target index, state map)."""
@@ -416,7 +432,7 @@ class DiagramSpec:
     morphisms: list[tuple[int, int, dict[str, str]]]
 
 
-@dataclass
+@record(frozen=False)
 class ColimitResult:
     """Colimit carrier as equivalence classes of (system index, state).
 
@@ -505,7 +521,7 @@ def diagram_colimit(diagram: DiagramSpec) -> ColimitResult:
 # fragment check of the closed-term fixed point
 
 
-@dataclass
+@record(frozen=False)
 class RealizationReport:
     """Counts from one realize-and-unfold sweep over a term fragment.
 

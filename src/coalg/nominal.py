@@ -16,11 +16,11 @@ by random simulation in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .errors import InputError, NotWellFoundedError, UnknownLabelError, check_header
 from .fixpoint import least_fixpoint, reach
+from .records import record
 
 FRESH_CASE = ("fresh",)
 
@@ -36,7 +36,7 @@ def fresh_var(m: int) -> tuple:
     return ("fresh", m)
 
 
-@dataclass(frozen=True)
+@record
 class NState:
     label: str
     registers: tuple[int, ...]
@@ -49,7 +49,7 @@ class NState:
         return f"{self.label}[{','.join(str(a) for a in self.registers)}]"
 
 
-@dataclass(frozen=True)
+@record
 class Template:
     """One successor: a target label and one slot per target register."""
 
@@ -57,7 +57,7 @@ class Template:
     assign: tuple[tuple, ...]
 
 
-@dataclass(frozen=True)
+@record
 class Rule:
     source: str
     case: tuple  # FRESH_CASE or ("reg", i)

@@ -23,7 +23,6 @@ solution, exhibited by ``integer_ladder_recursion``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .coalgebras import (
@@ -53,9 +52,10 @@ from .errors import (
     ZeroStateError,
 )
 from .fixpoint import least_fixpoint, reach
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class WfReport:
     """Result of the well-founded-part fixpoint.
 
@@ -93,7 +93,7 @@ def is_well_founded(coalg: FiniteCoalgebra) -> bool:
     return well_founded_part(coalg).is_well_founded
 
 
-@dataclass
+@record(frozen=False)
 class KoenigFamily:
     """The finite well-founded subsystems covering a well-founded system.
 

@@ -169,6 +169,17 @@ class TestRealizeAndFragmentCheck:
         assert message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("args", [5, "z", {"op": "z"}, None])
+    def test_top_level_args_must_be_a_list(self, tmp_path, capsys, args):
+        sig = write(
+            tmp_path, "sig.json", signature_to_json(Signature((("z", 0), ("s", 1))))
+        )
+        structure = write(tmp_path, "structure.json", {"op": "s", "args": args})
+        assert main(["realize", "--sig", sig, "--structure", structure]) == 3
+        err = capsys.readouterr().err
+        assert "$.args: expected a list" in err
+        assert "Traceback" not in err
+
     def test_fragment_check_depth_six(self, tmp_path, capsys):
         sig = write(
             tmp_path, "sig.json", signature_to_json(Signature((("z", 0), ("s", 1))))

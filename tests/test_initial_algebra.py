@@ -114,6 +114,20 @@ class TestInternedTerms:
         assert str(t) == str(t) == "s(z)"
         assert repr(t) == "Term(op='s', args=(Term(op='z', args=()),))"
 
+    def test_repr_of_a_small_term(self):
+        t = parse_term("node(leaf,s(leaf),node(leaf,leaf))")
+        assert repr(t) == (
+            "Term(op='node', args=(Term(op='leaf', args=()), "
+            "Term(op='s', args=(Term(op='leaf', args=()),)), "
+            "Term(op='node', args=(Term(op='leaf', args=()), Term(op='leaf', args=())))))"
+        )
+        assert repr(t) == f"Term(op={t.op!r}, args={t.args!r})"
+
+    def test_repr_of_a_deep_chain(self):
+        text = repr(chain(10_000))
+        assert text.count("Term(op='s', args=(") == 10_000
+        assert text.endswith("Term(op='z', args=())" + ",))" * 10_000)
+
     def test_immutable(self):
         t = Term("z")
         with pytest.raises(AttributeError):
