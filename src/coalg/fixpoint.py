@@ -22,6 +22,7 @@ def least_fixpoint(succ, any_of=frozenset()) -> dict:
     completed by its successor of highest rank and gets that rank + 1 (to
     the back); an ``any_of`` node takes the rank of its first member to
     hold, the least one (to the front).  Nodes without successors rank 1.
+    The result lists each ordinary node after all of its successors.
     """
     preds: dict = {x: [] for x in succ}
     pending: dict = {}

@@ -38,7 +38,7 @@ from .containers import (
 )
 from .errors import InputError, check_header
 from .records import record
-from .wellfounded import solve_recursion, well_founded_part
+from .wellfounded import solve_recursion
 
 
 class Term:
@@ -315,10 +315,11 @@ def validate_term(sig: Signature, term: Term) -> None:
 def unfold_to_term(sig: Signature, coalg: FiniteCoalgebra, state: str) -> Term:
     """Unfold one state of a signature-functor system into a closed term.
 
-    Equals structural recursion into the term algebra; raises
-    :class:`coalg.errors.CycleError` if the state reaches a cycle.
+    Equals structural recursion into the term algebra over the whole
+    system; raises :class:`coalg.errors.CycleError` if the system is not
+    well-founded.
     """
-    return solve_recursion(coalg, term_algebra(sig), roots=[state])[state]
+    return solve_recursion(coalg, term_algebra(sig))[state]
 
 
 def subterms(term: Term) -> list[Term]:
@@ -567,8 +568,9 @@ def term_realization_report(sig: Signature, depth: int) -> RealizationReport:
     The fragment is closed under subterms, so it is realized as one finite
     system with a state per term whose structure is the term's top node;
     the realization of each term is the closure of its state.  One
-    well-founded-part fixpoint and one memoized recursion into the term
-    algebra then serve every term.
+    recursion into the term algebra then serves every term; the system is
+    acyclic by height, so its fixpoint covers it, and a
+    :class:`coalg.errors.CycleError` would be a bug.
     """
     terms = enumerate_terms(sig, depth)
     # states are named by position: printed forms need not be distinct
@@ -582,14 +584,10 @@ def term_realization_report(sig: Signature, depth: int) -> RealizationReport:
             for t in terms
         },
     )
-    wf = well_founded_part(system).wf_part
-    values = solve_recursion(system, term_algebra(sig), roots=[x for x in system.states if x in wf])
+    values = solve_recursion(system, term_algebra(sig))
     mismatches: list[str] = []
     realized_ok = 0
     for t in terms:
-        if name[t] not in wf:
-            mismatches.append(f"realization of {t} is not well-founded")
-            continue
         back = values[name[t]]
         if back == t:
             realized_ok += 1

@@ -23,7 +23,7 @@ solution, exhibited by ``integer_ladder_recursion``.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 from .coalgebras import (
     Algebra,
@@ -116,14 +116,14 @@ class KoenigFamily:
         return frozenset(out)
 
 
-def koenig_family(coalg: FiniteCoalgebra, require_wf: bool = True) -> KoenigFamily:
-    """Per-state successor closures of a (well-founded) finite system.
+def koenig_family(coalg: FiniteCoalgebra) -> KoenigFamily:
+    """Per-state successor closures of a well-founded finite system.
 
-    With ``require_wf`` (the default) the input must be well-founded, which
-    guarantees that every member and every finite union of members is a
-    well-founded subsystem covering the carrier.
+    The input must be well-founded, which guarantees that every member and
+    every finite union of members is a well-founded subsystem covering the
+    carrier.
     """
-    if require_wf and not is_well_founded(coalg):
+    if not is_well_founded(coalg):
         raise NotWellFoundedError("system is not well-founded")
     succ = coalg.successor_map.__getitem__
     closures = {reach(succ, [x])[0] for x in coalg.states}
@@ -159,50 +159,40 @@ def koenig_extract(coalg, state: str, budget: int):
 # recursion
 
 
-def solve_recursion(
-    coalg: FiniteCoalgebra,
-    alg: Algebra,
-    roots: Optional[Iterable[str]] = None,
-) -> dict[str, object]:
-    """Memoized structural recursion h(x) = eval(structure(x)[successors := h]).
+def solve_recursion(coalg: FiniteCoalgebra, alg: Algebra) -> dict[str, object]:
+    """Structural recursion h(x) = eval(structure(x)[successors := h]).
 
-    Solves for the given roots (default: the whole carrier) and everything
-    they reach.  Raises :class:`CycleError` naming a state on a transition
-    cycle if the recursion cannot bottom out; this does *not* prove the
-    system has no solution (see :func:`integer_ladder_recursion`).
+    Built by induction along the rank: each state is evaluated once, in
+    the order of the least fixpoint.  If the fixpoint misses a state,
+    raises :class:`CycleError` naming a state on a transition cycle, and
+    evaluates nothing; this does *not* prove the system has no solution
+    (see :func:`integer_ladder_recursion`).
     """
     if alg.container != coalg.container:
         raise ContainerMismatchError(
             f"algebra container {alg.container!r} != system container {coalg.container!r}"
         )
-    if roots is None:
-        roots = coalg.states
+    succ = coalg.successor_map
+    rank = least_fixpoint(succ)
+    if len(rank) < len(succ):
+        raise CycleError(_cycle_state(succ, rank))
     values: dict[str, object] = {}
-    in_progress: set[str] = set()
-    for root in roots:
-        if root in values:
-            continue
-        stack: list[tuple[str, bool]] = [(root, False)]
-        while stack:
-            x, expanded = stack.pop()
-            if expanded:
-                values[x] = alg.eval(
-                    interpret(coalg.container, coalg.structure_of(x), values)
-                )
-                in_progress.discard(x)
-                continue
-            if x in values:
-                continue
-            if x in in_progress:
-                raise CycleError(x)
-            in_progress.add(x)
-            stack.append((x, True))
-            for s in sorted(coalg.successors(x), reverse=True):
-                if s not in values:
-                    if s in in_progress:
-                        raise CycleError(s)
-                    stack.append((s, False))
+    for x in rank:
+        values[x] = alg.eval(interpret(coalg.container, coalg.structure[x], values))
     return values
+
+
+def _cycle_state(succ, wf) -> str:
+    """A state on a cycle outside ``wf``, a successor-closed set: from the
+    least state outside it, step to the least successor outside it (each
+    such state has one) until a state repeats.
+    """
+    x = min(x for x in succ if x not in wf)
+    seen = set()
+    while x not in seen:
+        seen.add(x)
+        x = min(s for s in succ[x] if s not in wf)
+    return x
 
 
 def verify_solution(coalg: FiniteCoalgebra, alg: Algebra, values: Mapping[str, object]) -> bool:
@@ -296,22 +286,6 @@ def integer_ladder_window(radius: int) -> FiniteCoalgebra:
     return FiniteCoalgebra(PairNeq(), states, structure)
 
 
-class _ConstantEnv(Mapping):
-    """A total environment assigning one fixed value to every state."""
-
-    def __init__(self, value):
-        self._value = value
-
-    def __getitem__(self, key):
-        return self._value
-
-    def __iter__(self):  # pragma: no cover - only Mapping protocol filler
-        return iter(())
-
-    def __len__(self):  # pragma: no cover
-        return 0
-
-
 def integer_ladder_recursion(alg: Algebra, states: Iterable) -> dict[str, object]:
     """The constant recursion solution on the ladder, verified per state.
 
@@ -325,11 +299,11 @@ def integer_ladder_recursion(alg: Algebra, states: Iterable) -> dict[str, object
         raise InputError("the integer ladder needs an algebra over the distinct-pair container")
     star_value = alg.eval(STAR)
     ladder = integer_ladder()
-    env = _ConstantEnv(star_value)
     out: dict[str, object] = {}
     for state in states:
         s = str(state)
         h = ladder.structure_of(s)
+        env = dict.fromkeys(support(alg.container, h), star_value)
         lhs = alg.eval(interpret(alg.container, h, env))
         if lhs != star_value:
             raise VerificationFailedError(

@@ -472,3 +472,15 @@ def test_gallery_output_is_golden(name):
     proc = run_cli(["gallery", name], capture_output=True)
     assert proc.returncode == 0
     assert proc.stdout == (GOLDEN / f"gallery_{name}.txt").read_bytes()
+
+
+FOLD_GOLDEN = json.loads((GOLDEN / "fold.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", sorted(FOLD_GOLDEN))
+def test_fold_output_is_golden(case, capsys):
+    # keys are "<gallery entry> <algebra> <format>"
+    name, algebra, fmt = case.split()
+    code = main(["fold", f"gallery:{name}", "--algebra", algebra, "--format", fmt])
+    out, err = capsys.readouterr()
+    assert (out, err, code) == tuple(FOLD_GOLDEN[case][k] for k in ("stdout", "stderr", "exit"))

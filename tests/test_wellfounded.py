@@ -28,6 +28,7 @@ from coalg.errors import (
     VerificationFailedError,
     ZeroStateError,
 )
+from coalg.fixpoint import reach
 from coalg.wellfounded import (
     integer_ladder,
     integer_ladder_recursion,
@@ -49,6 +50,12 @@ from genutil import (
 )
 
 GRAPH = FinPow(Identity())
+
+
+def counted(alg):
+    """``alg`` with a list that records every shape it evaluates."""
+    calls = []
+    return Algebra(alg.container, lambda shape: calls.append(shape) or alg.eval(shape)), calls
 
 
 def graph(edges):
@@ -194,12 +201,6 @@ class TestKoenigFamily:
         with pytest.raises(NotWellFoundedError):
             koenig_family(integer_ladder_window(10))
 
-    def test_window_closures_without_wf_requirement(self):
-        window = integer_ladder_window(5)
-        family = koenig_family(window, require_wf=False)
-        assert family.union == frozenset(window.states)
-        assert all(is_subcoalgebra(m, window) for m in family.members)
-
     def test_members_are_wf_subcoalgebras_and_union_closed(self):
         rng = rng_for(71)
         for _ in range(30):
@@ -316,10 +317,38 @@ class TestSolveRecursion:
             values = solve_recursion(coalg, alg)
             assert verify_solution(coalg, alg, values)
 
-    def test_partial_solve_only_touches_reachable(self):
-        g = graph({"a": [], "loop": ["loop"]})
-        values = solve_recursion(g, count_algebra(GRAPH), roots=["a"])
-        assert values == {"a": 0}
+    def test_eval_runs_once_per_state(self):
+        rng = rng_for(83)
+        for _ in range(40):
+            coalg = random_wf_coalgebra(rng, 10)
+            alg, calls = counted(count_algebra(coalg.container))
+            values = solve_recursion(coalg, alg)
+            assert len(calls) == len(coalg.states) == len(values)
+
+    def test_cycle_error_evaluates_nothing(self):
+        alg, calls = counted(count_algebra(GRAPH))
+        with pytest.raises(CycleError) as info:
+            solve_recursion(graph({"a": [], "loop": ["loop"]}), alg)
+        assert info.value.state == "loop"
+        assert calls == []
+
+    def test_named_state_lies_on_a_cycle(self):
+        # the least non-well-founded state "a" lies on the tail
+        g = graph({"a": ["b"], "b": ["c"], "c": ["b"]})
+        with pytest.raises(CycleError) as info:
+            solve_recursion(g, count_algebra(GRAPH))
+        assert info.value.state == "b"
+        rng = rng_for(89)
+        systems = [random_graph(rng, rng.randint(1, 8)) for _ in range(60)]
+        systems += [random_coalgebra(rng, 8) for _ in range(60)]
+        cyclic = [c for c in systems if not is_well_founded(c)]
+        assert len(cyclic) > 30
+        for coalg in cyclic:
+            with pytest.raises(CycleError) as info:
+                solve_recursion(coalg, count_algebra(coalg.container))
+            x = info.value.state
+            succ = coalg.successor_map.__getitem__
+            assert x in reach(succ, succ(x))[0]
 
 
 class TestExtendRecursion:
