@@ -26,7 +26,7 @@ from .coalgebras import (
     induction_algebra,
     unfold_algebra,
 )
-from .containers import Star
+from .containers import Const, Exp, FinPow, Identity, Product, Star, Sum
 from .convex import convex_from_json, convex_wf_fixpoint
 from .errors import (
     AnalysisError,
@@ -215,20 +215,30 @@ def cmd_koenig(path: str, config: argparse.Namespace) -> int:
     raise InputError(f"koenig does not apply to kind {kind!r}")
 
 
-def _shape_to_jsonable(shape):
-    if isinstance(shape, Star):
-        return {"star": None}
-    if isinstance(shape, Term):
-        return str(shape)
-    if isinstance(shape, frozenset):
-        return {"set": sorted((_shape_to_jsonable(x) for x in shape), key=json.dumps)}
-    if isinstance(shape, tuple):
-        if len(shape) == 2 and shape[0] in ("inl", "inr"):
-            return {shape[0]: _shape_to_jsonable(shape[1])}
-        if len(shape) == 3 and shape[0] == "pair":
-            return {"pair": [_shape_to_jsonable(shape[1]), _shape_to_jsonable(shape[2])]}
-        return [_shape_to_jsonable(x) for x in shape]
-    return shape
+def _shape_to_jsonable(container, shape):
+    """A ``fold --algebra term`` value, a state's unfolding, as JSON, read
+    through the system's container: an identity slot holds a successor's
+    unfolding, itself a value of ``container``."""
+
+    def convert(c, v):
+        if isinstance(c, Identity):
+            return convert(container, v)
+        if isinstance(c, Const):
+            return v
+        if isinstance(c, Sum):
+            tag, inner = v
+            return {tag: convert(c.left if tag == "inl" else c.right, inner)}
+        if isinstance(c, Product):
+            return [convert(part, x) for part, x in zip(c.parts, v)]
+        if isinstance(c, FinPow):
+            return {"set": sorted((convert(c.inner, x) for x in v), key=json.dumps)}
+        if isinstance(c, Exp):
+            return [[label, convert(c.base, x)] for label, x in v]
+        if isinstance(v, Star):  # PairNeq
+            return {"star": None}
+        return {"pair": [convert(container, v[1]), convert(container, v[2])]}
+
+    return convert(container, shape)
 
 
 def cmd_fold(path: str, config: argparse.Namespace) -> int:
@@ -244,7 +254,10 @@ def cmd_fold(path: str, config: argparse.Namespace) -> int:
     else:
         raise InputError(f"unknown built-in algebra {config.algebra!r}")
     values = solve_recursion(obj, alg)
-    converted = {x: _shape_to_jsonable(values[x]) for x in obj.states}
+    if config.algebra == "term":
+        converted = {x: _shape_to_jsonable(obj.container, values[x]) for x in obj.states}
+    else:  # the values are ints
+        converted = {x: values[x] for x in obj.states}
     doc = {"algebra": config.algebra, "values": converted}
     _emit(
         doc,

@@ -387,10 +387,11 @@ def convex_from_json(doc) -> ConvexSpec:
         points = []
         for j, vec in enumerate(poly_doc):
             where = f"$.successors[{i}][{j}]"
-            if not isinstance(vec, list) or len(vec) != n:
+            # a JSON number would reach here already rounded to a float
+            if not isinstance(vec, list) or len(vec) != n or not all(isinstance(c, str) for c in vec):
                 raise InputError(f"{where}: expected {n} rational strings")
             try:
-                coeffs = tuple(Fraction(str(c)) for c in vec)
+                coeffs = tuple(Fraction(c) for c in vec)
             except (ValueError, ZeroDivisionError):
                 raise InputError(f"{where}: bad rational") from None
             try:

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .coalgebras import (
     Algebra,
     FiniteCoalgebra,
-    coproduct_extension,
     verify_coalgebra_morphism,
 )
 from .containers import (
@@ -252,7 +251,7 @@ def encode_structure(sig: Signature, op: str, children: Sequence[HStructure]) ->
     """Wrap per-symbol payload into the signature functor's sum nesting."""
     i, arity = sig._entry(op)
     if len(children) != arity:
-        raise InputError(f"{op!r} takes {arity} children, got {len(children)}")
+        raise InputError(f"{op!r} takes {arity} arguments, got {len(children)}")
     if arity == 0:
         h: HStructure = ConstVal(op)
     elif arity == 1:
@@ -303,15 +302,6 @@ def term_algebra(sig: Signature) -> Algebra:
     return Algebra(signature_container(sig), ev, name="term")
 
 
-def validate_term(sig: Signature, term: Term) -> None:
-    if sig.arity(term.op) != len(term.args):
-        raise InputError(
-            f"{term.op!r} takes {sig.arity(term.op)} arguments, got {len(term.args)}"
-        )
-    for a in term.args:
-        validate_term(sig, a)
-
-
 def unfold_to_term(sig: Signature, coalg: FiniteCoalgebra, state: str) -> Term:
     """Unfold one state of a signature-functor system into a closed term.
 
@@ -325,16 +315,27 @@ def unfold_to_term(sig: Signature, coalg: FiniteCoalgebra, state: str) -> Term:
 def subterms(term: Term) -> list[Term]:
     """All distinct subterms, in dependency order (subterms first)."""
     seen: dict[Term, None] = {}
-
-    def walk(t: Term):
-        if t in seen:
-            return
-        for a in t.args:
-            walk(a)
-        seen[t] = None
-
-    walk(term)
+    todo = [(term, iter(term.args))]
+    while todo:
+        t, rest = todo[-1]
+        for a in rest:
+            if a not in seen:
+                todo.append((a, iter(a.args)))
+                break
+        else:
+            todo.pop()
+            seen[t] = None
     return list(seen)
+
+
+def _term_system(sig: Signature, terms: Sequence[Term], name: Mapping[Term, str]) -> FiniteCoalgebra:
+    """One state ``name[t]`` per term of a subterm-closed list, in list
+    order, whose structure is the term's top node."""
+    return FiniteCoalgebra(
+        signature_container(sig),
+        [name[t] for t in terms],
+        {name[t]: encode_structure(sig, t.op, [StateRef(name[a]) for a in t.args]) for t in terms},
+    )
 
 
 def realize_hstructure(
@@ -342,34 +343,18 @@ def realize_hstructure(
 ) -> tuple[FiniteCoalgebra, str]:
     """Realize a functor structure over closed terms as a finite system.
 
-    Builds the prefix system of the argument terms (one state per distinct
-    subterm, named by the term's printed form, with the term's top node as
-    structure), then extends it by one fresh state whose structure is the
-    given top structure re-pointed at those states.  The result is finite
-    and well-founded, and the fresh state unfolds back to ``op(args...)``.
+    One state per distinct subterm of ``op(args...)``, named by the term's
+    printed form, with the term's top node as structure: the argument
+    subterms in name order, then the fresh top state.  The result is
+    finite and well-founded, and the top state unfolds back to
+    ``op(args...)``.
     """
     if sig.arity(op) != len(args):
         raise InputError(f"{op!r} takes {sig.arity(op)} arguments, got {len(args)}")
-    for a in args:
-        validate_term(sig, a)
-    container = signature_container(sig)
-    prefix: dict[Term, None] = {}
-    for a in args:
-        for t in subterms(a):
-            prefix[t] = None
-    states = sorted((str(t) for t in prefix))
-    structure = {
-        str(t): encode_structure(sig, t.op, [StateRef(str(u)) for u in t.args])
-        for t in prefix
-    }
-    base = FiniteCoalgebra(container, states, structure)
-    new_state = str(Term(op, tuple(args)))
-    extension = coproduct_extension(
-        base,
-        [new_state],
-        {new_state: encode_structure(sig, op, [StateRef(str(a)) for a in args])},
-    )
-    return extension, new_state
+    terms = subterms(Term(op, args))
+    name = {t: str(t) for t in terms}
+    top = terms.pop()
+    return _term_system(sig, [*sorted(terms, key=name.__getitem__), top], name), name[top]
 
 
 def enumerate_terms(sig: Signature, depth: int, limit: int = 200_000) -> list[Term]:
@@ -576,15 +561,7 @@ def term_realization_report(sig: Signature, depth: int) -> RealizationReport:
     # states are named by position: printed forms need not be distinct
     # when symbol names contain brackets or commas
     name = {t: str(i) for i, t in enumerate(terms)}
-    system = FiniteCoalgebra(
-        signature_container(sig),
-        name.values(),
-        {
-            name[t]: encode_structure(sig, t.op, [StateRef(name[a]) for a in t.args])
-            for t in terms
-        },
-    )
-    values = solve_recursion(system, term_algebra(sig))
+    values = solve_recursion(_term_system(sig, terms, name), term_algebra(sig))
     mismatches: list[str] = []
     realized_ok = 0
     for t in terms:

@@ -281,7 +281,7 @@ def nlts_from_json(doc) -> NLTSSpec:
     check_header(doc, "nlts")
     labels = doc.get("labels")
     if not isinstance(labels, dict) or not all(
-        isinstance(k, str) and type(v) is int for k, v in labels.items()
+        isinstance(k, str) and k and type(v) is int and v >= 0 for k, v in labels.items()
     ):
         raise InputError("$.labels: expected an object of label -> arity")
     rules_doc = doc.get("rules", [])

@@ -2,8 +2,12 @@
 and the oracles and JSON encoders that only tests use."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from coalg.containers import (
     Const,
@@ -586,3 +590,15 @@ def signature_to_json(sig):
         "kind": "signature",
         "ops": [{"name": n, "arity": a} for n, a in sig.ops],
     }
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_cli(argv, **kwargs):
+    """Run ``python -m coalg.cli`` on the source tree in a fresh interpreter."""
+    path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run(
+        [sys.executable, "-m", "coalg.cli", *argv], env=env, timeout=300, **kwargs
+    )

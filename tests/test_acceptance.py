@@ -2,8 +2,6 @@
 enforcing its stated runtime bound.  All checks are exact (no tolerances)."""
 
 import itertools
-import subprocess
-import sys
 import time
 
 from coalg.cli import main
@@ -70,6 +68,7 @@ from genutil import (
     random_nlts,
     random_wf_coalgebra,
     rng_for,
+    run_cli,
     sample_support_path,
     simulate,
     vertex_choices,
@@ -405,10 +404,7 @@ def test_criterion_8_cli_determinism(capsys):
     start = time.perf_counter()
     runs = []
     for _ in range(2):
-        proc = subprocess.run(
-            [sys.executable, "-m", "coalg.cli", "gallery", "all"],
-            capture_output=True,
-        )
+        proc = run_cli(["gallery", "all"], capture_output=True)
         assert proc.returncode == 0
         runs.append(proc.stdout)
     assert runs[0] == runs[1]

@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -20,20 +19,10 @@ from coalg.gallery import (
 from coalg.initial_algebra import Signature
 from coalg.nominal import FRESH_CASE, NLTSSpec, Rule, Template
 
-from genutil import convex_to_json, nlts_to_json, signature_to_json
+from genutil import ROOT, convex_to_json, nlts_to_json, run_cli, signature_to_json
 
 
-ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
-
-
-def run_cli(argv, **kwargs):
-    """Run ``python -m coalg.cli`` on the source tree in a fresh interpreter."""
-    path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    return subprocess.run(
-        [sys.executable, "-m", "coalg.cli", *argv], env=env, timeout=300, **kwargs
-    )
 
 
 def write(tmp_path, name, doc):
@@ -135,6 +124,37 @@ class TestFold:
     def test_cycle_exits_one(self, selfloop_file):
         assert main(["fold", selfloop_file, "--algebra", "count"]) == 1
 
+    @pytest.mark.parametrize(
+        "functor, a, value",
+        [
+            # a product whose first component is the label "inl"
+            ({"sum": [{"product": [{"const": ["inl", "pair"]}, {"id": None}]}, {"const": ["end"]}]},
+             {"inl": {"tuple": [{"const": "inl"}, {"state": "b"}]}},
+             {"inl": ["inl", {"inr": "end"}]}),
+            ({"sum": [{"sum": [{"id": None}, {"const": ["x"]}]}, {"const": ["end"]}]},
+             {"inl": {"inl": {"state": "b"}}},
+             {"inl": {"inl": {"inr": "end"}}}),
+            ({"sum": [{"product": [{"const": ["pair"]}, {"id": None}, {"id": None}]}, {"const": ["end"]}]},
+             {"inl": {"tuple": [{"const": "pair"}, {"state": "b"}, {"state": "b"}]}},
+             {"inl": ["pair", {"inr": "end"}, {"inr": "end"}]}),
+            ({"sum": [{"exp": {"base": {"id": None}, "labels": ["inr"]}}, {"const": ["end"]}]},
+             {"inl": {"fun": {"inr": {"state": "b"}}}},
+             {"inl": [["inr", {"inr": "end"}]]}),
+        ],
+        ids=["product-with-label-inl", "nested-sum", "product-with-label-pair", "exp-with-label-inr"],
+    )
+    def test_term_values_are_read_through_the_functor(self, tmp_path, capsys, functor, a, value):
+        doc = {
+            "version": 1,
+            "kind": "set-coalgebra",
+            "functor": functor,
+            "states": ["a", "b"],
+            "structure": {"a": a, "b": {"inr": {"const": "end"}}},
+        }
+        path = write(tmp_path, "f.json", doc)
+        assert main(["fold", path, "--algebra", "term", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["values"] == {"a": value, "b": {"inr": "end"}}
+
 
 class TestRealizeAndFragmentCheck:
     def test_realize(self, tmp_path, capsys):
@@ -168,6 +188,24 @@ class TestRealizeAndFragmentCheck:
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "structure,message",
+        [
+            ({"op": "f", "args": [{"op": "f", "args": [{"op": "a", "args": ["a"]}]}]},
+             "'a' takes 0 arguments, got 1"),
+            # two distinct subterms print as f(a): states are printed subterms
+            ({"op": "g", "args": [{"op": "f(a)"}, {"op": "f", "args": [{"op": "a"}]}]},
+             "duplicate state ids in carrier"),
+        ],
+        ids=["nested-arity", "printed-name-collision"],
+    )
+    def test_realize_input_errors(self, tmp_path, capsys, structure, message):
+        sig = Signature((("a", 0), ("f(a)", 0), ("f", 1), ("g", 2)))
+        sig = write(tmp_path, "sig.json", signature_to_json(sig))
+        structure = write(tmp_path, "structure.json", structure)
+        assert main(["realize", "--sig", sig, "--structure", structure]) == 3
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize("args", [5, "z", {"op": "z"}, None])
     def test_top_level_args_must_be_a_list(self, tmp_path, capsys, args):
@@ -278,13 +316,20 @@ class TestErrors:
             ("nlts", lambda d: d["rules"][0].update(to=5), "$.rules[0].to: expected a list"),
             ("nlts", lambda d: d["rules"][0]["to"][0].update(assign=5), "$.rules[0].to[0].assign: expected a list"),
             ("nlts", lambda d: d["labels"].update(l0=True), "$.labels: expected an object of label -> arity"),
+            ("nlts", lambda d: d["labels"].update(l0=-1), "$.labels: expected an object of label -> arity"),
+            ("nlts", lambda d: d["labels"].update({"": 0}), "$.labels: expected an object of label -> arity"),
             ("nlts", lambda d: d["rules"][0]["to"][0].update(label=["l1"]), "$.rules[0].to[0]: expected {label, assign}"),
             ("nlts", lambda d: d["rules"][0].update({"from": ["l0"]}), "$.rules[0]: expected {from, case, to}"),
             ("convex", lambda d: d.update(generators=True), "$.generators: expected a positive integer"),
+            # 1e-400 would read as the float 0.0; the vertex sums to more than 1
+            ("convex", lambda d: d.update(generators=2, successors=[[[1e-400, 1]], []]),
+             "$.successors[0][0]: expected 2 rational strings"),
+            ("convex", lambda d: d.update(successors=[[[1]]]), "$.successors[0][0]: expected 1 rational strings"),
             ("signature", lambda d: d["ops"][0].update(arity=True), "$.ops[0]: expected {name, arity}"),
         ],
-        ids=["nlts-to", "nlts-assign", "nlts-bool-arity", "nlts-list-label", "nlts-list-from",
-             "convex-bool-generators", "signature-bool-arity"],
+        ids=["nlts-to", "nlts-assign", "nlts-bool-arity", "nlts-negative-arity", "nlts-empty-label",
+             "nlts-list-label", "nlts-list-from", "convex-bool-generators", "convex-float-coefficient",
+             "convex-int-coefficient", "signature-bool-arity"],
     )
     def test_strict_decoders(self, tmp_path, capsys, kind, mutate, path):
         doc = {
@@ -346,11 +391,7 @@ class TestUsage:
         assert "Traceback" not in err
 
     def test_usage_error_exits_three_from_the_console(self, chain_file):
-        proc = subprocess.run(
-            [sys.executable, "-m", "coalg.cli", "check-wf", chain_file, "--budget", "5"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_cli(["check-wf", chain_file, "--budget", "5"], capture_output=True, text=True)
         assert proc.returncode == 3
         assert "unrecognized arguments: --budget 5" in proc.stderr
 
@@ -395,11 +436,7 @@ class TestGallery:
         capsys.readouterr()
 
     def test_console_script_runs(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "coalg.cli", "gallery", "chain"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_cli(["gallery", "chain"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert "wellFounded" in proc.stdout
 

@@ -82,6 +82,12 @@ class TestTerms:
         assert order.index(Term("leaf")) < order.index(t)
         assert len(order) == 3
 
+    def test_subterms_of_a_deep_chain(self):
+        order = subterms(chain(10_000))
+        assert order[0] == Term("z")
+        assert all(t.args == (below,) for below, t in zip(order, order[1:]))
+        assert order[-1] == chain(10_000)
+
 
 def chain(n):
     """The unary term s(...s(z)...) of height n, built bottom-up."""
@@ -253,6 +259,22 @@ class TestRealize:
             assert report.is_well_founded
             prefix_ranks = [report.rank[str(a)] for a in args]
             assert report.rank[state] == 1 + max(prefix_ranks, default=0)
+
+    def test_one_state_per_subterm_named_by_its_text(self):
+        # the top state comes last, the argument subterms before it in
+        # name order, and every state unfolds to its own term
+        for t in enumerate_terms(TREES, 3):
+            system, state = realize_hstructure(TREES, t.op, list(t.args))
+            names = [str(u) for u in subterms(t)]
+            assert state == str(t)
+            assert system.states == (*sorted(names[:-1]), state)
+            values = solve_recursion(system, term_algebra(TREES))
+            assert {x: str(v) for x, v in values.items()} == {x: x for x in names}
+
+    def test_deep_argument(self):
+        system, state = realize_hstructure(PEANO, "s", [chain(2000)])
+        assert len(system.states) == 2002
+        assert unfold_to_term(PEANO, system, state) == chain(2001)
 
     def test_round_trip_from_random_systems(self):
         # unfold any state of a random signature system, realize the term's
