@@ -254,16 +254,17 @@ def cmd_fold(path: str, config: argparse.Namespace) -> int:
     else:
         raise InputError(f"unknown built-in algebra {config.algebra!r}")
     values = solve_recursion(obj, alg)
-    if config.algebra == "term":
-        converted = {x: _shape_to_jsonable(obj.container, values[x]) for x in obj.states}
-    else:  # the values are ints
-        converted = {x: values[x] for x in obj.states}
-    doc = {"algebra": config.algebra, "values": converted}
-    _emit(
-        doc,
-        config,
-        (f"{x} = {json.dumps(v, sort_keys=True)}" for x, v in converted.items()),
-    )
+    try:
+        if config.algebra == "term":
+            converted = {x: _shape_to_jsonable(obj.container, values[x]) for x in obj.states}
+        else:  # the values are ints
+            converted = {x: values[x] for x in obj.states}
+        # every text line is encoded before the first is printed
+        text = config.format == "text"
+        lines = [f"{x} = {json.dumps(v, sort_keys=True)}" for x, v in converted.items()] if text else ()
+        _emit({"algebra": config.algebra, "values": converted}, config, lines)
+    except RecursionError:
+        raise InputError(f"{path}: an unfolding is nested too deeply to print") from None
     return EXIT_OK
 
 
@@ -369,7 +370,7 @@ def cmd_gallery(name: str, config: argparse.Namespace) -> int:
         all_ok = True
         for entry_name in gallery.gallery_names():
             entry = gallery.GALLERY[entry_name]
-            doc, code = entry.demo(config)
+            doc, code = entry.demo()
             match = code == entry.expected_exit
             all_ok = all_ok and match
             _write(f"=== {entry_name} [{entry.kind}] ===")
@@ -377,7 +378,7 @@ def cmd_gallery(name: str, config: argparse.Namespace) -> int:
             _write(f"exit: {code} (expected {entry.expected_exit}) {'ok' if match else 'MISMATCH'}")
         return EXIT_OK if all_ok else EXIT_NOT_WF
     entry = gallery.get_entry(name)
-    doc, code = entry.demo(config)
+    doc, code = entry.demo()
     _emit(doc, config, [json.dumps(doc, indent=2, sort_keys=True)])
     return code
 
@@ -410,7 +411,6 @@ _OPTIONS = {
     "format": dict(choices=["text", "json"], default="text"),
     "budget": dict(type=_int_at_least(1), default=10000),
     "depth": dict(type=_int_at_least(0), default=4),
-    "length": dict(type=_int_at_least(1), default=50),
     "state": dict(required=True),
     "algebra": dict(choices=["term", "induction", "count"], default="count"),
     "sig": dict(required=True),
@@ -446,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("check-5.2", "check the closed-term fragment, both directions",
             lambda a: cmd_check_52(a.sig, a), ["format", "depth", "sig"])
     command("gallery", "run a built-in fixture ('list', 'all', or a name)",
-            lambda a: cmd_gallery(a.name, a), ["format", "budget", "length"], "name")
+            lambda a: cmd_gallery(a.name, a), ["format"], "name")
     command("export-dot", "emit the system graph as DOT",
             lambda a: cmd_export_dot(a.input), [], "input")
     return parser

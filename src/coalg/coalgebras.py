@@ -20,7 +20,6 @@ from .containers import (
     container_from_json,
     container_to_json,
     hmap,
-    identity_values,
     set_of,
     structure_decoder,
     structure_to_json,
@@ -316,6 +315,24 @@ class Algebra:
         return f"Algebra({self.name or 'anonymous'!r} over {self.container!r})"
 
 
+def _int_values(shape) -> list[int]:
+    """The state values of a shape interpreted over int values.
+
+    :func:`coalg.containers.interpret` puts no other int into a shape
+    (labels and tags are strings, ``*`` is a record), so one scan that
+    descends into tuples and frozensets finds exactly the state slots.
+    """
+    out = []
+    todo = [shape]
+    while todo:
+        v = todo.pop()
+        if type(v) is int:
+            out.append(v)
+        elif isinstance(v, (tuple, frozenset)):
+            todo.extend(v)
+    return out
+
+
 def induction_algebra(container: Container) -> Algebra:
     """The 0/1 algebra of the induction principle.
 
@@ -325,7 +342,7 @@ def induction_algebra(container: Container) -> Algebra:
     """
 
     def ev(shape):
-        return 1 if all(v == 1 for v in identity_values(container, shape)) else 0
+        return 1 if all(v == 1 for v in _int_values(shape)) else 0
 
     return Algebra(container, ev, name="induction")
 
@@ -334,7 +351,7 @@ def count_algebra(container: Container) -> Algebra:
     """Height algebra: 1 + max over state values, with leaves at 0."""
 
     def ev(shape):
-        return 1 + max(identity_values(container, shape), default=-1)
+        return 1 + max(_int_values(shape), default=-1)
 
     return Algebra(container, ev, name="count")
 

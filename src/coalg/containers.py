@@ -371,34 +371,6 @@ def interpret(container: Container, h: HStructure, env: Mapping[str, object]):
     raise InputError(f"unknown container: {container!r}")
 
 
-def identity_values(container: Container, shape):
-    """Yield the values sitting in the identity slots of a plain shape."""
-    if isinstance(container, Identity):
-        yield shape
-    elif isinstance(container, Const):
-        return
-    elif isinstance(container, Sum):
-        tag, inner = shape
-        side = container.left if tag == "inl" else container.right
-        yield from identity_values(side, inner)
-    elif isinstance(container, Product):
-        for c, x in zip(container.parts, shape):
-            yield from identity_values(c, x)
-    elif isinstance(container, FinPow):
-        for x in shape:
-            yield from identity_values(container.inner, x)
-    elif isinstance(container, Exp):
-        for _, v in shape:
-            yield from identity_values(container.base, v)
-    elif isinstance(container, PairNeq):
-        if shape != STAR:
-            _, a, b = shape
-            yield a
-            yield b
-    else:
-        raise InputError(f"unknown container: {container!r}")
-
-
 # ---------------------------------------------------------------------------
 # JSON encoding (tagged single-key objects; round-trips exactly)
 

@@ -25,6 +25,7 @@ certified by explicit combinations.
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -159,25 +160,18 @@ def successors(spec: ConvexSpec, p: CPoint) -> CPolytope:
 
     Affine extension of the per-generator assignment: the vertices are all
     support-weighted combinations of one vertex per positive-support
-    generator; empty as soon as any positive-support generator has an empty
-    successor polytope.
+    generator, each combined through its vertex-choice certificate; empty
+    as soon as any positive-support generator has an empty successor
+    polytope.
     """
     if p.dim != spec.generators:
         raise InputError(f"point dimension {p.dim} != spec dimension {spec.generators}")
     supp = sorted(p.support)
-    if any(spec.polytopes[i].is_empty for i in supp):
-        return CPolytope()
-    out = []
-    choices = [spec.polytopes[i].vertices for i in supp]
-    for combo in itertools.product(*choices):
-        coeffs = [ZERO] * spec.generators
-        for i, v in zip(supp, combo):
-            w = p.coeffs[i]
-            for j, c in enumerate(v.coeffs):
-                if c:
-                    coeffs[j] += w * c
-        out.append(CPoint(tuple(coeffs)))
-    return CPolytope(out)
+    choices = itertools.product(*(range(len(spec.polytopes[i])) for i in supp))
+    return CPolytope(
+        vertex_choice_certificate(spec, p, dict(zip(supp, ks))).combine(spec, p)
+        for ks in choices
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +366,13 @@ def convex_path_witness(spec: ConvexSpec, g: int, length: int) -> Optional[Witne
 # JSON
 
 
+# Python refuses to print an int of more than 4300 digits, and a decimal
+# exponent of more than 4 digits is refused before Fraction expands it
+_MAX_DIGITS = 4300
+_TOO_LONG = 10**_MAX_DIGITS
+_LONG_EXPONENT = re.compile(r"[eE][-+]?[0_]*(?!0)\d(?:_?\d){4}")
+
+
 def convex_from_json(doc) -> ConvexSpec:
     check_header(doc, "convex")
     n = doc.get("generators")
@@ -390,10 +391,18 @@ def convex_from_json(doc) -> ConvexSpec:
             # a JSON number would reach here already rounded to a float
             if not isinstance(vec, list) or len(vec) != n or not all(isinstance(c, str) for c in vec):
                 raise InputError(f"{where}: expected {n} rational strings")
+            # one screen per vertex: without an exponent, a coefficient has
+            # no more digits than its string has characters
+            text = "".join(vec)
+            screen = "e" in text or "E" in text or len(text) > _MAX_DIGITS
+            if screen and any(map(_LONG_EXPONENT.search, vec)):
+                raise InputError(f"{where}: a decimal exponent has more than 4 digits")
             try:
                 coeffs = tuple(Fraction(c) for c in vec)
             except (ValueError, ZeroDivisionError):
                 raise InputError(f"{where}: bad rational") from None
+            if screen and any(max(abs(c.numerator), c.denominator) >= _TOO_LONG for c in coeffs):
+                raise InputError(f"{where}: a coefficient has more than {_MAX_DIGITS} digits")
             try:
                 points.append(CPoint(coeffs))
             except InputError as exc:

@@ -34,7 +34,6 @@ from .nominal import (
     Rule,
     Template,
     fresh_var,
-    nominal_is_well_founded,
     nominal_koenig_extract,
     nominal_wf_labels,
     path_witness,
@@ -128,7 +127,12 @@ def build_convex_rank2() -> ConvexSpec:
 
 
 # ---------------------------------------------------------------------------
-# default analyses
+# default analyses, one per fixture kind
+
+# closure budgets tried on the integer ladder, and the length of a
+# non-well-foundedness witness path
+LADDER_BUDGETS = (10, 100, 1000, 10000)
+WITNESS_LENGTH = 50
 
 
 def _wf_verdict(coalg: FiniteCoalgebra):
@@ -138,11 +142,9 @@ def _wf_verdict(coalg: FiniteCoalgebra):
     return doc, 0 if report.is_well_founded else 1
 
 
-def _ladder_demo(config):
-    ladder = integer_ladder()
-    budgets = [10, 100, 1000, config.budget]
+def _ladder_demo(ladder):
     outcomes = {}
-    for b in sorted(set(budgets)):
+    for b in LADDER_BUDGETS:
         result = koenig_extract(ladder, "1", b)
         outcomes[str(b)] = (
             "budget-exhausted" if isinstance(result, BudgetExhausted) else sorted(result)
@@ -159,17 +161,18 @@ def _ladder_demo(config):
     return doc, 2 if exhausted else 0
 
 
-def _nlts_verdict(spec: NLTSSpec, config):
-    wf = nominal_is_well_founded(spec)
+def _nlts_verdict(spec: NLTSSpec):
+    wf_labels = nominal_wf_labels(spec)
+    wf = len(wf_labels) == len(spec.labels)
     doc = {"wellFounded": wf}
     if wf:
         lbl = min(spec.labels)
         start = NState(lbl, tuple(range(spec.labels[lbl])))
         doc["reachableLabels"] = sorted(nominal_koenig_extract(spec, start))
         return doc, 0
-    lbl = min(set(spec.labels) - nominal_wf_labels(spec))
+    lbl = min(set(spec.labels) - wf_labels)
     start = NState(lbl, tuple(range(spec.labels[lbl])))
-    steps = path_witness(spec, start, config.length)
+    steps = path_witness(spec, start, WITNESS_LENGTH)
     doc["witness"] = {
         "start": str(start),
         "length": len(steps),
@@ -178,12 +181,12 @@ def _nlts_verdict(spec: NLTSSpec, config):
     return doc, 1
 
 
-def _convex_verdict(spec: ConvexSpec, config):
+def _convex_verdict(spec: ConvexSpec):
     report = convex_wf_fixpoint(spec)
     doc = report.to_json()
     if not report.is_well_founded:
         g = min(report.non_wf)
-        witness = convex_path_witness(spec, g, config.length)
+        witness = convex_path_witness(spec, g, WITNESS_LENGTH)
         doc["witness"] = {
             "generator": g,
             "length": len(witness.steps),
@@ -193,142 +196,113 @@ def _convex_verdict(spec: ConvexSpec, config):
     return doc, 0
 
 
+_VERDICTS = {
+    "set-coalgebra": _wf_verdict,
+    "lazy-coalgebra": _ladder_demo,
+    "nlts": _nlts_verdict,
+    "convex": _convex_verdict,
+}
+
+
 @record(frozen=False)
 class GalleryEntry:
     name: str
     kind: str
     description: str
     build: Callable
-    demo: Callable  # (config) -> (report dict, exit code)
+    demo: Callable  # () -> (report dict, exit code)
     expected_exit: int
-
-
-def _fixed(builder):
-    def run(config):
-        return _wf_verdict(builder())
-
-    return run
 
 
 GALLERY: dict[str, GalleryEntry] = {}
 
 
-def _register(entry: GalleryEntry):
-    GALLERY[entry.name] = entry
+def _register(name: str, kind: str, description: str, build: Callable, expected_exit: int):
+    verdict = _VERDICTS[kind]
+    GALLERY[name] = GalleryEntry(
+        name, kind, description, build, lambda: verdict(build()), expected_exit
+    )
 
 
 _register(
-    GalleryEntry(
-        "chain",
-        "set-coalgebra",
-        "three-state graph chain a -> b -> c; well-founded with ranks 3/2/1",
-        build_chain,
-        _fixed(build_chain),
-        0,
-    )
+    "chain",
+    "set-coalgebra",
+    "three-state graph chain a -> b -> c; well-founded with ranks 3/2/1",
+    build_chain,
+    0,
 )
 _register(
-    GalleryEntry(
-        "self-loop",
-        "set-coalgebra",
-        "one looping state; the smallest non-well-founded graph",
-        build_self_loop,
-        _fixed(build_self_loop),
-        1,
-    )
+    "self-loop",
+    "set-coalgebra",
+    "one looping state; the smallest non-well-founded graph",
+    build_self_loop,
+    1,
 )
 _register(
-    GalleryEntry(
-        "cycle-tail",
-        "set-coalgebra",
-        "a two-cycle beside a chain into a deadlock; well-founded part is the chain",
-        build_cycle_tail,
-        _fixed(build_cycle_tail),
-        1,
-    )
+    "cycle-tail",
+    "set-coalgebra",
+    "a two-cycle beside a chain into a deadlock; well-founded part is the chain",
+    build_cycle_tail,
+    1,
 )
 _register(
-    GalleryEntry(
-        "binary-trees",
-        "set-coalgebra",
-        "an ordered-tree system for the functor X*X + X + 1; well-founded",
-        build_binary_trees,
-        _fixed(build_binary_trees),
-        0,
-    )
+    "binary-trees",
+    "set-coalgebra",
+    "an ordered-tree system for the functor X*X + X + 1; well-founded",
+    build_binary_trees,
+    0,
 )
 _register(
-    GalleryEntry(
-        "term-chain",
-        "set-coalgebra",
-        "a chain over the {z/0, s/1} signature functor; unfolds to s(s(s(z)))",
-        build_term_chain,
-        _fixed(build_term_chain),
-        0,
-    )
+    "term-chain",
+    "set-coalgebra",
+    "a chain over the {z/0, s/1} signature functor; unfolds to s(s(s(z)))",
+    build_term_chain,
+    0,
 )
 _register(
-    GalleryEntry(
-        "example-3.11",
-        "lazy-coalgebra",
-        "the integer ladder: every closure search exhausts its budget, yet "
-        "constant recursion solutions exist for every algebra",
-        integer_ladder,
-        _ladder_demo,
-        2,
-    )
+    "example-3.11",
+    "lazy-coalgebra",
+    "the integer ladder: every closure search exhausts its budget, yet "
+    "constant recursion solutions exist for every algebra",
+    integer_ladder,
+    2,
 )
 _register(
-    GalleryEntry(
-        "example-3.11-window",
-        "set-coalgebra",
-        "a 20-state window of the integer ladder with rim states clamped "
-        "into a cycle; not well-founded",
-        lambda: integer_ladder_window(10),
-        _fixed(lambda: integer_ladder_window(10)),
-        1,
-    )
+    "example-3.11-window",
+    "set-coalgebra",
+    "a 20-state window of the integer ladder with rim states clamped "
+    "into a cycle; not well-founded",
+    lambda: integer_ladder_window(10),
+    1,
 )
 _register(
-    GalleryEntry(
-        "nominal-fresh-loop",
-        "nlts",
-        "a single label looping with a fresh register; infinite runs exist",
-        build_nominal_fresh_loop,
-        lambda config: _nlts_verdict(build_nominal_fresh_loop(), config),
-        1,
-    )
+    "nominal-fresh-loop",
+    "nlts",
+    "a single label looping with a fresh register; infinite runs exist",
+    build_nominal_fresh_loop,
+    1,
 )
 _register(
-    GalleryEntry(
-        "nominal-two-label",
-        "nlts",
-        "two labels, one step, then deadlock; well-founded",
-        build_nominal_two_label,
-        lambda config: _nlts_verdict(build_nominal_two_label(), config),
-        0,
-    )
+    "nominal-two-label",
+    "nlts",
+    "two labels, one step, then deadlock; well-founded",
+    build_nominal_two_label,
+    0,
 )
 _register(
-    GalleryEntry(
-        "convex-self-loop",
-        "convex",
-        "one generator whose successor polytope is itself; not well-founded",
-        build_convex_self_loop,
-        lambda config: _convex_verdict(build_convex_self_loop(), config),
-        1,
-    )
+    "convex-self-loop",
+    "convex",
+    "one generator whose successor polytope is itself; not well-founded",
+    build_convex_self_loop,
+    1,
 )
 _register(
-    GalleryEntry(
-        "convex-rank2",
-        "convex",
-        "generator 0 steps to generator 1, which deadlocks; well-founded "
-        "with ranks 2 and 1",
-        build_convex_rank2,
-        lambda config: _convex_verdict(build_convex_rank2(), config),
-        0,
-    )
+    "convex-rank2",
+    "convex",
+    "generator 0 steps to generator 1, which deadlocks; well-founded "
+    "with ranks 2 and 1",
+    build_convex_rank2,
+    0,
 )
 
 

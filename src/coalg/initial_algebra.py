@@ -36,6 +36,7 @@ from .containers import (
     hmap,
 )
 from .errors import InputError, check_header
+from .fixpoint import reach
 from .records import record
 from .wellfounded import solve_recursion
 
@@ -169,6 +170,11 @@ def parse_term(text: str) -> Term:
     return term
 
 
+# the most terms an enumeration builds, and the most argument slots (the
+# sum of the arities) a signature's functor may have
+TERM_LIMIT = 200_000
+
+
 @record
 class Signature:
     """Operation symbols with arities; symbols must be distinct.
@@ -191,6 +197,9 @@ class Signature:
                 raise InputError("empty operation symbol")
             if a < 0:
                 raise InputError(f"negative arity for {n!r}")
+        slots = sum(a for _, a in self.ops)
+        if slots > TERM_LIMIT:
+            raise InputError(f"the arities add up to {slots}, above the limit of {TERM_LIMIT}")
         object.__setattr__(
             self, "_by_name", {n: (i, a) for i, (n, a) in enumerate(self.ops)}
         )
@@ -230,7 +239,7 @@ def _op_container(name: str, arity: int) -> Container:
         return Const((name,))
     if arity == 1:
         return Identity()
-    return Product(tuple(Identity() for _ in range(arity)))
+    return Product((Identity(),) * arity)
 
 
 def signature_container(sig: Signature) -> Container:
@@ -357,56 +366,38 @@ def realize_hstructure(
     return _term_system(sig, [*sorted(terms, key=name.__getitem__), top], name), name[top]
 
 
-def enumerate_terms(sig: Signature, depth: int, limit: int = 200_000) -> list[Term]:
-    """All closed terms of height at most ``depth``, sorted by (height, text)."""
+def enumerate_terms(sig: Signature, depth: int, limit: int = TERM_LIMIT) -> list[Term]:
+    """All closed terms of height at most ``depth``, sorted by (height, text).
+
+    Each layer is counted before it is built: an op of arity a adds
+    end**a - start**a terms, those with an argument of the greatest height.
+    """
     if depth < 0:
         return []
     terms = [Term(n) for n, a in sig.ops if a == 0]
     start = 0  # terms[start:] are the terms of the greatest height so far
     for _ in range(depth):
-        end = len(terms)
+        end = size = len(terms)
+        if end == start:  # the last layer was empty, and so is every later one
+            break
+        for _, arity in sig.ops:
+            size += end**arity - start**arity
+            if size > limit:
+                raise InputError(f"term enumeration exceeded {limit} terms at depth {depth}")
         for name, arity in sig.ops:
             # each new term has a first argument of the greatest height:
-            # lower terms before it, any terms after it
-            for j in range(arity):
+            # lower terms before it (none in the first layer), any terms after it
+            for j in range(arity if start else min(arity, 1)):
                 pools = (
                     [terms[:start]] * j + [terms[start:end]] + [terms[:end]] * (arity - j - 1)
                 )
-                for combo in itertools.product(*pools):
-                    terms.append(Term(name, combo))
-                    if len(terms) > limit:
-                        raise InputError(
-                            f"term enumeration exceeded {limit} terms at depth {depth}"
-                        )
+                terms.extend(Term(name, combo) for combo in itertools.product(*pools))
         start = end
     return sorted(terms, key=lambda t: (t.height, str(t)))
 
 
 # ---------------------------------------------------------------------------
 # colimits of finite diagrams
-
-
-class UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:  # path compression
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i: int, j: int):
-        i, j = self.find(i), self.find(j)
-        if i == j:
-            return
-        if self.size[i] < self.size[j]:
-            i, j = j, i
-        self.parent[j] = i
-        self.size[i] += self.size[j]
 
 
 @record(frozen=False)
@@ -463,25 +454,22 @@ def diagram_colimit(diagram: DiagramSpec) -> ColimitResult:
             raise InputError(
                 f"listed map from system {i} to system {j} is not a morphism"
             )
-    nodes: list[tuple[int, str]] = []
-    index: dict[tuple[int, str], int] = {}
-    for i, c in enumerate(diagram.coalgebras):
-        for x in c.states:
-            index[(i, x)] = len(nodes)
-            nodes.append((i, x))
-    uf = UnionFind(len(nodes))
+    # the classes are the components of the undirected graph of morphism edges
+    edges: dict[tuple[int, str], list[tuple[int, str]]] = {
+        (i, x): [] for i, c in enumerate(diagram.coalgebras) for x in c.states
+    }
     for i, j, f in diagram.morphisms:
         for x in diagram.coalgebras[i].states:
-            uf.union(index[(i, x)], index[(j, f[x])])
-    groups: dict[int, list[tuple[int, str]]] = {}
-    for node, k in index.items():
-        groups.setdefault(uf.find(k), []).append(node)
-    classes = sorted((tuple(sorted(g)) for g in groups.values()), key=lambda g: g[0])
-    class_ids = [f"q{n}" for n in range(len(classes))]
+            edges[(i, x)].append((j, f[x]))
+            edges[(j, f[x])].append((i, x))
+    classes: list[tuple[tuple[int, str], ...]] = []
     class_of: dict[tuple[int, str], str] = {}
-    for cid, members in zip(class_ids, classes):
-        for node in members:
-            class_of[node] = cid
+    for node in sorted(edges):  # so classes come in order of least member
+        if node not in class_of:
+            members = tuple(sorted(reach(edges.__getitem__, [node])[0]))
+            class_of.update(dict.fromkeys(members, f"q{len(classes)}"))
+            classes.append(members)
+    class_ids = [f"q{n}" for n in range(len(classes))]
     injections = [
         {x: class_of[(i, x)] for x in c.states}
         for i, c in enumerate(diagram.coalgebras)

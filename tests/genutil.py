@@ -514,6 +514,36 @@ def sample_support_path(spec, g, rng, max_steps):
 # signature functors: the inverse of coalg.initial_algebra.encode_structure
 
 
+def identity_values(container, shape):
+    """Yield the values sitting in the identity slots of a plain shape, by
+    a walk of the container (the oracle for the int scan of the built-in
+    algebras)."""
+    if isinstance(container, Identity):
+        yield shape
+    elif isinstance(container, Const):
+        return
+    elif isinstance(container, Sum):
+        tag, inner = shape
+        side = container.left if tag == "inl" else container.right
+        yield from identity_values(side, inner)
+    elif isinstance(container, Product):
+        for c, x in zip(container.parts, shape):
+            yield from identity_values(c, x)
+    elif isinstance(container, FinPow):
+        for x in shape:
+            yield from identity_values(container.inner, x)
+    elif isinstance(container, Exp):
+        for _, v in shape:
+            yield from identity_values(container.base, v)
+    elif isinstance(container, PairNeq):
+        if shape != STAR:
+            _, a, b = shape
+            yield a
+            yield b
+    else:
+        raise AssertionError(container)
+
+
 def decode_structure(sig, h):
     """Inverse of :func:`coalg.initial_algebra.encode_structure`."""
     k = len(sig.ops)

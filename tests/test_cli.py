@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -346,6 +347,61 @@ class TestErrors:
         assert "Traceback" not in err
 
 
+class TestLimits:
+    """Inputs beyond a size limit are input errors, reported before
+    anything is printed."""
+
+    def assert_input_error(self, capsys, message):
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_fold_term_nested_too_deeply_to_print(self, tmp_path, capsys, fmt):
+        states = [f"s{i}" for i in range(400)]
+        structure = {x: {"set": [{"state": y}]} for x, y in zip(states, states[1:])}
+        structure[states[-1]] = {"set": []}
+        doc = {"version": 1, "kind": "set-coalgebra", "functor": {"finpow": {"id": None}},
+               "states": states, "structure": structure}
+        path = write(tmp_path, "chain.json", doc)
+        assert main(["fold", path, "--algebra", "term", "--format", fmt]) == 3
+        self.assert_input_error(capsys, f"error: {path}: an unfolding is nested too deeply to print")
+
+    @pytest.mark.parametrize(
+        "coefficient, message",
+        [("1e-5000", "coefficient has more than 4300 digits"),
+         ("1e-4000000", "decimal exponent has more than 4 digits")],
+    )
+    def test_oversized_convex_coefficient(self, tmp_path, capsys, coefficient, message):
+        doc = {"version": 1, "kind": "convex", "generators": 1, "successors": [[[coefficient]]]}
+        path = write(tmp_path, "big.json", doc)
+        start = time.perf_counter()
+        assert main(["check-wf", path]) == 3
+        assert time.perf_counter() - start < 0.5
+        self.assert_input_error(capsys, f"$.successors[0][0]: a {message}")
+
+    def signature(self, tmp_path, *ops):
+        doc = {"version": 1, "kind": "signature", "ops": [{"name": n, "arity": a} for n, a in ops]}
+        return write(tmp_path, "sig.json", doc)
+
+    def test_huge_arity_in_check_52(self, tmp_path, capsys):
+        sig = self.signature(tmp_path, ("z", 0), ("w", 10**30))
+        assert main(["check-5.2", "--sig", sig]) == 3
+        self.assert_input_error(capsys, "arities add up to 1000000000000000000000000000000, above the limit")
+
+    def test_huge_arity_declared_in_realize(self, tmp_path, capsys):
+        sig = self.signature(tmp_path, ("z", 0), ("s", 1), ("w", 10**30))
+        structure = write(tmp_path, "st.json", {"op": "s", "args": ["z"]})
+        assert main(["realize", "--sig", sig, "--structure", structure]) == 3
+        self.assert_input_error(capsys, "add up to 1000000000000000000000000000001, above the limit of 200000")
+
+    def test_wide_op_is_counted_before_it_is_built(self, tmp_path, capsys):
+        sig = self.signature(tmp_path, ("z", 0), ("y", 0), ("w", 1000))
+        assert main(["check-5.2", "--sig", sig, "--depth", "1"]) == 3
+        self.assert_input_error(capsys, "term enumeration exceeded 200000 terms at depth 1")
+
+
 # the options each command takes
 COMMAND_OPTIONS = {
     "check-wf": {"--format"},
@@ -353,7 +409,7 @@ COMMAND_OPTIONS = {
     "fold": {"--format", "--algebra"},
     "realize": {"--format", "--sig", "--structure"},
     "check-5.2": {"--format", "--depth", "--sig"},
-    "gallery": {"--format", "--budget", "--length"},
+    "gallery": {"--format"},
     "export-dot": set(),
 }
 

@@ -19,6 +19,7 @@ from coalg.containers import (
 )
 from coalg.errors import CycleError, InputError
 from coalg.initial_algebra import (
+    TERM_LIMIT,
     DiagramSpec,
     Signature,
     Term,
@@ -356,6 +357,23 @@ class TestEnumerateMatchesRounds:
         with pytest.raises(InputError, match="exceeded 600 terms at depth 4"):
             enumerate_terms(TREES, 4, limit=600)
         assert len(enumerate_terms(TREES, 4, limit=677)) == 677
+
+    def test_arities_above_the_limit_are_refused(self):
+        assert Signature((("z", 0), ("w", TERM_LIMIT))).arity("w") == TERM_LIMIT
+        for ops in [(("w", TERM_LIMIT + 1),), (("v", TERM_LIMIT), ("w", 1))]:
+            with pytest.raises(InputError, match=f"add up to {TERM_LIMIT + 1}, above the limit of 200000"):
+                Signature((("z", 0), *ops))
+
+    def test_widest_op_is_enumerated_in_linear_time(self):
+        start = time.perf_counter()
+        # no constants: no closed terms at any height
+        assert enumerate_terms(Signature((("w", TERM_LIMIT),)), 4) == []
+        terms = enumerate_terms(Signature((("z", 0), ("w", TERM_LIMIT))), 1)
+        assert [t.height for t in terms] == [0, 1]
+        assert terms[1].args == (terms[0],) * TERM_LIMIT
+        with pytest.raises(InputError, match="exceeded 200000 terms at depth 2"):
+            enumerate_terms(Signature((("z", 0), ("w", TERM_LIMIT))), 2)
+        assert time.perf_counter() - start < 2
 
 
 # to_json() of the reports, recorded from the per-term realization (one

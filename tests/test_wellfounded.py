@@ -42,6 +42,7 @@ from coalg.wellfounded import (
 )
 
 from genutil import (
+    identity_values,
     random_coalgebra,
     random_extension,
     random_graph,
@@ -304,6 +305,17 @@ class TestSolveRecursion:
         )
         values = solve_recursion(coalg, term_algebra(sig))
         assert str(values["n0"]) == "s(s(z))"
+
+    def test_built_in_algebras_match_the_container_walk(self):
+        # depths 1-3 reach every constructor, pairneq included
+        rng = rng_for(97)
+        for k in range(200):
+            coalg = random_wf_coalgebra(rng, 8, depth=1 + k % 3)
+            c = coalg.container
+            count = Algebra(c, lambda s: 1 + max(identity_values(c, s), default=-1))
+            induction = Algebra(c, lambda s: int(all(v == 1 for v in identity_values(c, s))))
+            assert solve_recursion(coalg, count_algebra(c)) == solve_recursion(coalg, count)
+            assert solve_recursion(coalg, induction_algebra(c)) == solve_recursion(coalg, induction)
 
     def test_self_loop_cycles(self):
         with pytest.raises(CycleError):
