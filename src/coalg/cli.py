@@ -254,14 +254,14 @@ def cmd_fold(path: str, config: argparse.Namespace) -> int:
     else:
         raise InputError(f"unknown built-in algebra {config.algebra!r}")
     values = solve_recursion(obj, alg)
+    converted = {x: values[x] for x in obj.states}  # ints, printed as they come
+    lines = (f"{x} = {v}" for x, v in converted.items())
     try:
         if config.algebra == "term":
-            converted = {x: _shape_to_jsonable(obj.container, values[x]) for x in obj.states}
-        else:  # the values are ints
-            converted = {x: values[x] for x in obj.states}
-        # every text line is encoded before the first is printed
-        text = config.format == "text"
-        lines = [f"{x} = {json.dumps(v, sort_keys=True)}" for x, v in converted.items()] if text else ()
+            # encoded whole before the first line, as _emit encodes JSON: a too deep unfolding prints nothing
+            converted = {x: _shape_to_jsonable(obj.container, v) for x, v in converted.items()}
+            text = config.format == "text"
+            lines = [f"{x} = {json.dumps(v, sort_keys=True)}" for x, v in converted.items()] if text else ()
         _emit({"algebra": config.algebra, "values": converted}, config, lines)
     except RecursionError:
         raise InputError(f"{path}: an unfolding is nested too deeply to print") from None

@@ -319,8 +319,9 @@ def _int_values(shape) -> list[int]:
     """The state values of a shape interpreted over int values.
 
     :func:`coalg.containers.interpret` puts no other int into a shape
-    (labels and tags are strings, ``*`` is a record), so one scan that
-    descends into tuples and frozensets finds exactly the state slots.
+    (tags are strings, ``Const`` and ``Exp`` refuse labels that are not,
+    and ``*`` is a record), so one scan that descends into tuples and
+    frozensets finds exactly the state slots.
     """
     out = []
     todo = [shape]

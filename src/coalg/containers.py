@@ -36,6 +36,8 @@ class Const:
     def __post_init__(self):
         if not self.labels:
             raise InputError("Const needs at least one label")
+        if not all(isinstance(x, str) for x in self.labels):
+            raise InputError(f"Const labels must be strings: {self.labels}")
         if len(set(self.labels)) != len(self.labels):
             raise InputError(f"duplicate Const labels: {self.labels}")
 
@@ -72,6 +74,8 @@ class Exp:
     def __post_init__(self):
         if not self.exponent:
             raise InputError("Exp needs a non-empty exponent")
+        if not all(isinstance(x, str) for x in self.exponent):
+            raise InputError(f"Exp labels must be strings: {self.exponent}")
         if len(set(self.exponent)) != len(self.exponent):
             raise InputError(f"duplicate Exp labels: {self.exponent}")
 

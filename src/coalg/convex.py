@@ -190,18 +190,15 @@ class SuccessorCertificate:
     components: tuple[tuple[int, tuple[Fraction, ...]], ...]
 
     def combine(self, spec: ConvexSpec, p: CPoint) -> CPoint:
+        """The certified point; ``certify_membership`` checks the weights."""
         coeffs = [ZERO] * spec.generators
         for i, weights in self.components:
-            poly = spec.polytopes[i]
-            if len(weights) != len(poly.vertices):
-                raise InputError(f"certificate arity mismatch at generator {i}")
-            if any(w < 0 for w in weights) or sum(weights) != 1:
-                raise InputError(f"certificate weights at generator {i} not convex")
-            for w, v in zip(weights, poly.vertices):
+            for w, v in zip(weights, spec.polytopes[i].vertices):
                 if w:
+                    pw = p.coeffs[i] if w == 1 else p.coeffs[i] * w
                     for j, c in enumerate(v.coeffs):
                         if c:
-                            coeffs[j] += p.coeffs[i] * w * c
+                            coeffs[j] += pw * c
         return CPoint(tuple(coeffs))
 
 
@@ -213,6 +210,11 @@ def certify_membership(
     covered = {i for i, _ in cert.components}
     if covered != set(p.support):
         return False
+    for i, weights in cert.components:
+        if len(weights) != len(spec.polytopes[i].vertices):
+            raise InputError(f"certificate arity mismatch at generator {i}")
+        if any(w < 0 for w in weights) or sum(weights) != 1:
+            raise InputError(f"certificate weights at generator {i} not convex")
     return cert.combine(spec, p) == z
 
 
@@ -222,10 +224,8 @@ def vertex_choice_certificate(
     """Certificate picking one vertex (by index) per support generator."""
     components = []
     for i in sorted(p.support):
-        poly = spec.polytopes[i]
-        k = choice[i]
-        weights = tuple(ONE if m == k else ZERO for m in range(len(poly.vertices)))
-        components.append((i, weights))
+        k, rest = choice[i], len(spec.polytopes[i].vertices) - choice[i] - 1
+        components.append((i, (ZERO,) * k + (ONE,) + (ZERO,) * rest))
     return SuccessorCertificate(tuple(components))
 
 

@@ -335,6 +335,14 @@ class TestConstructors:
         with pytest.raises(InputError):
             Exp(Identity(), ())
 
+    def test_labels_must_be_strings(self):
+        # count_algebra and induction_algebra take every int of an
+        # interpreted shape for a state value, so no label may be an int
+        with pytest.raises(InputError, match=r"Const labels must be strings: \(0,\)"):
+            Const((0,))
+        with pytest.raises(InputError, match=r"Exp labels must be strings: \('x', 1\)"):
+            Exp(Identity(), ("x", 1))
+
     def test_set_of_sorts_and_dedups(self):
         s = set_of([StateRef("b"), StateRef("a"), StateRef("b")])
         assert s == ref_set("a", "b")

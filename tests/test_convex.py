@@ -6,6 +6,7 @@ from coalg.convex import (
     CPoint,
     CPolytope,
     ConvexSpec,
+    SuccessorCertificate,
     certify_membership,
     convex_from_json,
     convex_path_witness,
@@ -163,6 +164,19 @@ class TestAffinity:
                     cert = blend_certificate(spec, m, x, y, r, supp_x, cx, supp_y, cy)
                     assert certify_membership(spec, m, cert, z)
             checked += 1
+
+    def test_certificate_weights_are_checked(self):
+        # combine trusts its weights; certify_membership takes certificates
+        # from outside and checks them first
+        spec = ConvexSpec([CPolytope([unit(0, 1)])])
+        p = unit(0, 1)
+        for weights, error in (
+            ((F(1), F(0)), "certificate arity mismatch at generator 0"),
+            ((F(2),), "certificate weights at generator 0 not convex"),
+            ((F(-1),), "certificate weights at generator 0 not convex"),
+        ):
+            with pytest.raises(InputError, match=error):
+                certify_membership(spec, p, SuccessorCertificate(((0, weights),)), p)
 
 
 class TestFixpoint:
