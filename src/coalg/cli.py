@@ -268,21 +268,34 @@ def cmd_fold(path: str, config: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_term_doc(doc, where: str) -> Term:
-    if isinstance(doc, str):
-        return parse_term(doc)
-    if isinstance(doc, dict) and "op" in doc:
-        if not isinstance(doc["op"], str):
-            raise InputError(f"{where}.op: expected an operation name")
-        return Term(doc["op"], _load_term_args(doc, where))
-    raise InputError(f"{where}: expected a term string or {{op, args}}")
-
-
 def _load_term_args(doc: dict, where: str) -> tuple:
-    args = doc.get("args", [])
-    if not isinstance(args, list):
-        raise InputError(f"{where}.args: expected a list")
-    return tuple(_load_term_doc(a, f"{where}.args[{i}]") for i, a in enumerate(args))
+    """The argument terms of an ``{op, args}`` document, each a term string
+    or ``{op, args}`` again, read in one loop with an explicit stack."""
+
+    def frame(op, doc, where):
+        args = doc.get("args", [])
+        if not isinstance(args, list):
+            raise InputError(f"{where}.args: expected a list")
+        return op, where, args, []
+
+    stack = [frame(None, doc, where)]  # (op, path, argument documents, terms built)
+    while True:
+        op, where, args, built = stack[-1]
+        if len(built) < len(args):
+            at, arg = f"{where}.args[{len(built)}]", args[len(built)]
+            if isinstance(arg, str):
+                built.append(parse_term(arg))
+            elif isinstance(arg, dict) and "op" in arg:
+                if not isinstance(arg["op"], str):
+                    raise InputError(f"{at}.op: expected an operation name")
+                stack.append(frame(arg["op"], arg, at))
+            else:
+                raise InputError(f"{at}: expected a term string or {{op, args}}")
+            continue
+        stack.pop()
+        if not stack:
+            return tuple(built)
+        stack[-1][3].append(Term(op, built))
 
 
 def cmd_realize(sig_path: str, structure_path: str, config: argparse.Namespace) -> int:
@@ -360,7 +373,7 @@ def cmd_export_dot(path: str) -> int:
     return EXIT_OK
 
 
-def cmd_gallery(name: str, config: argparse.Namespace) -> int:
+def cmd_gallery(name: str) -> int:
     if name == "list":
         for entry_name in gallery.gallery_names():
             entry = gallery.GALLERY[entry_name]
@@ -377,9 +390,8 @@ def cmd_gallery(name: str, config: argparse.Namespace) -> int:
             _write(json.dumps(doc, indent=2, sort_keys=True))
             _write(f"exit: {code} (expected {entry.expected_exit}) {'ok' if match else 'MISMATCH'}")
         return EXIT_OK if all_ok else EXIT_NOT_WF
-    entry = gallery.get_entry(name)
-    doc, code = entry.demo()
-    _emit(doc, config, [json.dumps(doc, indent=2, sort_keys=True)])
+    doc, code = gallery.get_entry(name).demo()
+    _write(json.dumps(doc, indent=2, sort_keys=True))
     return code
 
 
@@ -446,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("check-5.2", "check the closed-term fragment, both directions",
             lambda a: cmd_check_52(a.sig, a), ["format", "depth", "sig"])
     command("gallery", "run a built-in fixture ('list', 'all', or a name)",
-            lambda a: cmd_gallery(a.name, a), ["format"], "name")
+            lambda a: cmd_gallery(a.name), [], "name")
     command("export-dot", "emit the system graph as DOT",
             lambda a: cmd_export_dot(a.input), [], "input")
     return parser

@@ -13,14 +13,10 @@ from typing import Callable, Iterable, Mapping, Optional
 
 from .containers import (
     Container,
-    FinPow,
     HStructure,
-    Identity,
-    StateRef,
     container_from_json,
     container_to_json,
     hmap,
-    set_of,
     structure_decoder,
     structure_to_json,
     support,
@@ -195,26 +191,6 @@ def verify_coalgebra_morphism(
     return all(
         hmap(source.container, h, source.structure_of(x)) == target.structure_of(h[x])
         for x in source.states
-    )
-
-
-def canonical_graph(coalg):
-    """The graph of a system: each state maps to the set of its successors."""
-    graph_container = FinPow(Identity())
-    if isinstance(coalg, FiniteCoalgebra):
-        return FiniteCoalgebra._trusted(
-            graph_container,
-            coalg.states,
-            {
-                x: set_of(StateRef(s) for s in succ)
-                for x, succ in coalg.successor_map.items()
-            },
-            dict(coalg.successor_map),
-        )
-    return LazyCoalgebra(
-        graph_container,
-        lambda x: set_of(StateRef(s) for s in coalg.successors(x)),
-        name=coalg.name,
     )
 
 

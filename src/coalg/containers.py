@@ -268,16 +268,6 @@ def support(container: Container, h: HStructure) -> frozenset[str]:
     return frozenset(out)
 
 
-def validate(container: Container, h: HStructure) -> bool:
-    """True iff ``h`` is a well-typed, canonical value of ``container``
-    (see :func:`support` for the checks)."""
-    try:
-        support(container, h)
-    except InputError:
-        return False
-    return True
-
-
 def _shape_error(container, h):
     return InputError(f"structure {h!r} does not match container {container!r}")
 

@@ -311,21 +311,6 @@ class WitnessPath:
             current = step.point
         return True
 
-    def to_json(self) -> dict:
-        return {
-            "start": [str(c) for c in self.start.coeffs],
-            "steps": [
-                {
-                    "point": [str(c) for c in s.point.coeffs],
-                    "certificate": [
-                        {"generator": i, "weights": [str(w) for w in ws]}
-                        for i, ws in s.certificate.components
-                    ],
-                }
-                for s in self.steps
-            ],
-        }
-
 
 def convex_path_witness(spec: ConvexSpec, g: int, length: int) -> Optional[WitnessPath]:
     """A verified ``length``-step path from generator g, or None if g is WF.

@@ -13,6 +13,7 @@ the functor, checkable fragment by fragment with
 from __future__ import annotations
 
 import itertools
+import sys
 import weakref
 from typing import Mapping, Optional, Sequence
 
@@ -163,7 +164,11 @@ def parse_term(text: str) -> Term:
                 raise InputError(f"expected ',' or ')' at offset {pos} in {text!r}")
         return Term(name, tuple(args))
 
-    term = parse()
+    try:
+        term = parse()
+    except RecursionError:
+        limit = sys.getrecursionlimit()
+        raise InputError(f"term nested too deeply (the limit is about {limit} levels)") from None
     skip_ws()
     if pos != len(text):
         raise InputError(f"trailing input at offset {pos} in {text!r}")
@@ -173,6 +178,9 @@ def parse_term(text: str) -> Term:
 # the most terms an enumeration builds, and the most argument slots (the
 # sum of the arities) a signature's functor may have
 TERM_LIMIT = 200_000
+# the most symbols a signature may have: its functor nests one sum per
+# symbol, and the walks over a container recurse once per level
+SYMBOL_LIMIT = 400
 
 
 @record
@@ -183,12 +191,15 @@ class Signature:
     but every enumeration is vacuous).
     """
 
-    __slots__ = ("_by_name",)  # name -> (index, arity), built once
+    # name -> (index, arity), and the functor: both built once
+    __slots__ = ("_by_name", "_container")
     ops: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
         if not self.ops:
             raise InputError("signature needs at least one operation symbol")
+        if len(self.ops) > SYMBOL_LIMIT:
+            raise InputError(f"the signature has {len(self.ops)} symbols, above the limit of {SYMBOL_LIMIT}")
         names = [n for n, _ in self.ops]
         if len(set(names)) != len(names):
             raise InputError(f"duplicate operation symbols: {names}")
@@ -203,6 +214,11 @@ class Signature:
         object.__setattr__(
             self, "_by_name", {n: (i, a) for i, (n, a) in enumerate(self.ops)}
         )
+        parts = [_op_container(n, a) for n, a in self.ops]
+        container = parts[-1]
+        for part in reversed(parts[:-1]):
+            container = Sum(part, container)
+        object.__setattr__(self, "_container", container)
 
     def _entry(self, op: str) -> tuple[int, int]:
         entry = self._by_name.get(op) if isinstance(op, str) else None
@@ -243,17 +259,13 @@ def _op_container(name: str, arity: int) -> Container:
 
 
 def signature_container(sig: Signature) -> Container:
-    """The sum-of-products functor of a signature.
+    """The sum-of-products functor of a signature, built once with it.
 
     One summand per symbol: a one-label constant for arity 0, a single
     state slot for arity 1, a product of state slots otherwise.  Summands
     nest to the right in declaration order.
     """
-    parts = [_op_container(n, a) for n, a in sig.ops]
-    container = parts[-1]
-    for part in reversed(parts[:-1]):
-        container = Sum(part, container)
-    return container
+    return sig._container
 
 
 def encode_structure(sig: Signature, op: str, children: Sequence[HStructure]) -> HStructure:
@@ -558,19 +570,16 @@ def term_realization_report(sig: Signature, depth: int) -> RealizationReport:
             realized_ok += 1
         else:
             mismatches.append(f"{t} unfolded to {back}")
-    lower = [t for t in terms if t.height < depth]
-    evaluated: set[Term] = set()
-    structure_count = 0
-    for op, arity in sig.ops:
-        for combo in itertools.product(lower, repeat=arity):
-            structure_count += 1
-            evaluated.add(Term(op, combo))
+    # every term of the fragment is one symbol over lower terms, so the
+    # structure map is injective iff these structures evaluate to as many
+    # distinct terms
+    lower = sum(t.height < depth for t in terms)
     return RealizationReport(
         sig,
         depth,
         len(terms),
         realized_ok,
-        structure_count,
-        len(evaluated),
+        sum(lower**arity for _, arity in sig.ops),
+        len(set(values.values())),
         mismatches,
     )

@@ -184,7 +184,7 @@ def nominal_is_well_founded(spec: NLTSSpec) -> bool:
     atoms never run out.  Equivalently, the well-founded part of the orbit
     graph covers every label.
     """
-    return len(least_fixpoint(orbit_graph(spec))) == len(spec.labels)
+    return len(nominal_wf_labels(spec)) == len(spec.labels)
 
 
 def nominal_wf_labels(spec: NLTSSpec) -> frozenset[str]:

@@ -219,6 +219,27 @@ class TestRealizeAndFragmentCheck:
         assert "$.args: expected a list" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("levels, code", [(480, 0), (494, 3)])
+    def test_deep_op_args_file(self, tmp_path, levels, code):
+        # two JSON levels per term level: 494 is past what json.loads reads
+        sig = write(tmp_path, "sig.json", signature_to_json(Signature((("z", 0), ("s", 1)))))
+        structure = tmp_path / "structure.json"
+        structure.write_text('{"op": "s", "args": [' * levels + '"z"' + "]}" * levels, encoding="utf-8")
+        proc = run_cli(["realize", "--sig", sig, "--structure", str(structure), "--format", "json"],
+                       capture_output=True, text=True)
+        assert (proc.returncode, "Traceback" in proc.stderr) == (code, False)
+        if code == 0:
+            assert json.loads(proc.stdout)["unfolded"] == "s(" * levels + "z" + ")" * levels
+
+    @pytest.mark.parametrize("levels, code", [(900, 0), (1500, 3)])
+    def test_deep_term_string(self, tmp_path, levels, code):
+        sig = write(tmp_path, "sig.json", signature_to_json(Signature((("z", 0), ("s", 1)))))
+        structure = write(tmp_path, "structure.json", {"op": "s", "args": ["s(" * levels + "z" + ")" * levels]})
+        proc = run_cli(["realize", "--sig", sig, "--structure", structure], capture_output=True, text=True)
+        assert (proc.returncode, "Traceback" in proc.stderr) == (code, False)
+        if code == 3:
+            assert proc.stderr.startswith("error: term nested too deeply (the limit is about ")
+
     def test_fragment_check_depth_six(self, tmp_path, capsys):
         sig = write(
             tmp_path, "sig.json", signature_to_json(Signature((("z", 0), ("s", 1))))
@@ -396,6 +417,22 @@ class TestLimits:
         assert main(["realize", "--sig", sig, "--structure", structure]) == 3
         self.assert_input_error(capsys, "add up to 1000000000000000000000000000001, above the limit of 200000")
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_signature_of_400_symbols(self, tmp_path, capsys, fmt):
+        # the functor nests one sum per symbol
+        sig = self.signature(tmp_path, *[(f"c{i}", 0) for i in range(399)], ("s", 1))
+        structure = write(tmp_path, "st.json", {"op": "s", "args": ["c0"]})
+        assert main(["check-5.2", "--sig", sig, "--depth", "1", "--format", fmt]) == 0
+        assert main(["realize", "--sig", sig, "--structure", structure, "--format", fmt]) == 0
+
+    @pytest.mark.parametrize("command", ["check-5.2", "realize"])
+    def test_signature_of_401_symbols(self, tmp_path, capsys, command):
+        sig = self.signature(tmp_path, *[(f"c{i}", 0) for i in range(400)], ("s", 1))
+        structure = write(tmp_path, "st.json", {"op": "s", "args": ["c0"]})
+        argv = ["check-5.2", "--sig", sig] if command == "check-5.2" else ["realize", "--sig", sig, "--structure", structure]
+        assert main(argv) == 3
+        self.assert_input_error(capsys, "the signature has 401 symbols, above the limit of 400")
+
     def test_wide_op_is_counted_before_it_is_built(self, tmp_path, capsys):
         sig = self.signature(tmp_path, ("z", 0), ("y", 0), ("w", 1000))
         assert main(["check-5.2", "--sig", sig, "--depth", "1"]) == 3
@@ -409,7 +446,7 @@ COMMAND_OPTIONS = {
     "fold": {"--format", "--algebra"},
     "realize": {"--format", "--sig", "--structure"},
     "check-5.2": {"--format", "--depth", "--sig"},
-    "gallery": {"--format"},
+    "gallery": set(),
     "export-dot": set(),
 }
 
@@ -434,6 +471,7 @@ class TestUsage:
             ["koenig", "gallery:chain", "--state", "a", "--budget", "0"],
             ["check-5.2", "--sig", "s.json", "--depth", "-1"],
             ["gallery", "chain", "--length", "x"],
+            ["gallery", "chain", "--format", "json"],
             [],
         ],
         ids=lambda argv: " ".join(argv) or "no-command",
@@ -462,7 +500,7 @@ class TestCollectorPause:
 
     def test_paused_during_the_run(self, monkeypatch, collecting, capsys):
         seen = []
-        monkeypatch.setattr("coalg.cli.cmd_gallery", lambda name, config: seen.append(gc.isenabled()) or 0)
+        monkeypatch.setattr("coalg.cli.cmd_gallery", lambda name: seen.append(gc.isenabled()) or 0)
         assert main(["gallery", "list"]) == 0
         assert seen == [False]
 

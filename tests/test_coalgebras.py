@@ -6,7 +6,6 @@ from coalg.coalgebras import (
     BudgetExhausted,
     FiniteCoalgebra,
     LazyCoalgebra,
-    canonical_graph,
     coalgebra_from_json,
     coalgebra_to_json,
     coproduct_extension,
@@ -112,20 +111,6 @@ class TestMorphism:
             verify_coalgebra_morphism({"a": "x", "b": "x"}, CHAIN, ladder_like)
 
 
-class TestCanonicalGraph:
-    def test_graph_is_its_own_canonical_graph(self):
-        assert canonical_graph(CHAIN) == CHAIN
-
-    def test_ladder_canonical_graph(self):
-        g = canonical_graph(integer_ladder())
-        assert g.structure_of("1") == set_of([StateRef("-2"), StateRef("2")])
-        assert g.structure_of("-3") == set_of([StateRef("-4"), StateRef("4")])
-
-    def test_star_state_becomes_deadlock(self):
-        c = FiniteCoalgebra(PairNeq(), ["x"], {"x": STAR})
-        assert canonical_graph(c).structure_of("x") == set_of(())
-
-
 class TestSubcoalgebra:
     def test_full_carrier(self):
         assert is_subcoalgebra({"a", "b"}, CHAIN)
@@ -220,12 +205,10 @@ class TestLeastSubcoalgebra:
 
     def test_lazy_successors_walk_each_structure_once(self, monkeypatch):
         import coalg.coalgebras as coalgebras
-        import coalg.containers as containers
 
         calls = []
         real = coalgebras.support
         monkeypatch.setattr(coalgebras, "support", lambda c, h: calls.append(h) or real(c, h))
-        monkeypatch.setattr(containers, "validate", lambda c, h: pytest.fail("validate called"))
         ladder = integer_ladder()
         rule, built = ladder.rule, []
         ladder.rule = lambda x: built.append(x) or rule(x)

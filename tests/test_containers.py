@@ -28,7 +28,6 @@ from coalg.containers import (
     structure_from_json,
     structure_to_json,
     support,
-    validate,
 )
 from coalg.errors import InputError, UnknownStateError
 
@@ -49,34 +48,40 @@ def ref_set(*names):
 
 
 class TestValidate:
+    """``support`` is the check: a value passes, and a non-value raises."""
+
     def test_finpow_of_staterefs(self):
-        assert validate(GRAPH, ref_set("a", "b"))
+        support(GRAPH, ref_set("a", "b"))
 
     def test_star_is_a_pairneq_value(self):
-        assert validate(PairNeq(), STAR)
+        support(PairNeq(), STAR)
 
     def test_shape_mismatch(self):
-        assert not validate(Product((Identity(), Identity())), ref_set("a"))
+        with pytest.raises(InputError):
+            support(Product((Identity(), Identity())), ref_set("a"))
 
     def test_pair_with_equal_components_rejected(self):
-        bad = Pair(StateRef("a"), StateRef("a"))
-        assert not validate(PairNeq(), bad)
-        assert validate(PairNeq(), make_pair(StateRef("a"), StateRef("a")))
+        with pytest.raises(InputError):
+            support(PairNeq(), Pair(StateRef("a"), StateRef("a")))
+        support(PairNeq(), make_pair(StateRef("a"), StateRef("a")))
 
     def test_unsorted_set_rejected(self):
         raw = SetOf((StateRef("b"), StateRef("a")))
-        assert not validate(GRAPH, raw)
-        assert validate(GRAPH, set_of(raw.items))
+        with pytest.raises(InputError):
+            support(GRAPH, raw)
+        support(GRAPH, set_of(raw.items))
 
     def test_exp_needs_exactly_the_labels(self):
         c = Exp(Identity(), ("x", "y"))
-        assert validate(c, fun_of({"x": StateRef("a"), "y": StateRef("b")}))
-        assert not validate(c, fun_of({"x": StateRef("a")}))
+        support(c, fun_of({"x": StateRef("a"), "y": StateRef("b")}))
+        with pytest.raises(InputError):
+            support(c, fun_of({"x": StateRef("a")}))
 
     def test_const_label_must_be_declared(self):
         c = Const(("u", "v"))
-        assert validate(c, ConstVal("u"))
-        assert not validate(c, ConstVal("w"))
+        support(c, ConstVal("u"))
+        with pytest.raises(InputError):
+            support(c, ConstVal("w"))
 
 
 class TestHmap:
@@ -133,7 +138,7 @@ class TestHmap:
             h = random_structure(rng, PairNeq(), states)
             f = {s: rng.choice(states) for s in states}
             out = hmap(PairNeq(), f, h)
-            assert validate(PairNeq(), out)
+            support(PairNeq(), out)
 
 
 class TestSupport:
@@ -156,11 +161,9 @@ class TestSupport:
         ],
     )
     def test_non_values_raise(self, container, h):
-        # support is the one checked walk: whatever is not a value raises,
-        # and validate reports the same verdict
+        # support is the one checked walk: whatever is not a value raises
         with pytest.raises(InputError):
             support(container, h)
-        assert not validate(container, h)
 
     def test_checks_nested_values(self):
         c = FinPow(Product((Identity(), Const(("u",)))))
@@ -256,12 +259,11 @@ def scrambled(doc):
 
 class TestStructureDecoder:
     """The one-pass decoder against the reference path: structure_from_json,
-    then validate, then support."""
+    then support."""
 
     def check_against_reference(self, container, carrier, doc):
         h, refs = structure_decoder(container, carrier)(doc)
         expected = structure_from_json(doc)
-        assert validate(container, expected)
         assert h == expected
         assert refs == support(container, expected)
 

@@ -180,6 +180,11 @@ class TestSignatureContainer:
             Product((Identity(), Identity())), Sum(Identity(), Const(("end",)))
         )
 
+    def test_built_once_with_the_signature(self):
+        sig = Signature((("a", 0), ("b", 1), ("c", 2)))
+        assert signature_container(sig) is signature_container(sig)
+        assert term_algebra(sig).container is signature_container(sig)
+
     def test_encode_decode_round_trip(self):
         sig = Signature((("a", 0), ("b", 1), ("c", 2), ("d", 0)))
         for name, arity in sig.ops:
@@ -418,6 +423,26 @@ class TestSharedRealization:
             "s(s(s(s(z)))) unfolded to s(z)",
             "s(s(s(s(s(z))))) unfolded to s(s(z))",
         ]
+
+    def test_collapsing_algebra_is_not_injective(self, monkeypatch):
+        # injectivity is read from the term algebra's values: an algebra
+        # that sends s(z) to z sends every s(...) term to z
+        real = initial_algebra.term_algebra
+
+        def collapsing(sig):
+            alg = real(sig)
+
+            def ev(shape):
+                t = alg.eval(shape)
+                return chain(0) if t == chain(1) else t
+
+            return Algebra(alg.container, ev, name="term")
+
+        monkeypatch.setattr(initial_algebra, "term_algebra", collapsing)
+        report = term_realization_report(PEANO, 3)
+        assert (report.structure_count, report.distinct_terms) == (4, 1)
+        assert not report.injective
+        assert not report.passed
 
     @pytest.mark.parametrize("sig,depth", [(PEANO, 30), (TREES, 3)])
     def test_one_support_walk_per_term(self, monkeypatch, sig, depth):

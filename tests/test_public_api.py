@@ -14,10 +14,10 @@ PUBLIC_NAMES = [
     "Const", "ConstVal", "Container", "Exp", "FinPow", "FunOf", "HStructure",
     "Identity", "InL", "InR", "Pair", "PairNeq", "Product", "SetOf", "Star",
     "StateRef", "Sum", "TupleOf", "fun_of", "hmap", "interpret", "make_pair",
-    "set_of", "support", "validate",
+    "set_of", "support",
     # coalgebras
     "Algebra", "BudgetExhausted", "FiniteCoalgebra", "LazyCoalgebra",
-    "canonical_graph", "coproduct_extension", "count_algebra",
+    "coproduct_extension", "count_algebra",
     "induction_algebra", "is_cartesian_subcoalgebra", "is_subcoalgebra",
     "least_subcoalgebra", "unfold_algebra", "verify_coalgebra_morphism",
     # wellfounded
