@@ -13,6 +13,7 @@ duplicate-free so that structural equality is plain ``==``.
 from __future__ import annotations
 
 import itertools
+from types import SimpleNamespace
 from typing import Iterable, Mapping, Union
 
 from .errors import InputError, UnknownStateError
@@ -272,58 +273,64 @@ def _shape_error(container, h):
     return InputError(f"structure {h!r} does not match container {container!r}")
 
 
+def _fmap(container: Container, h: HStructure, state, build):
+    """Rebuild ``h``, a value of ``container``, bottom-up: ``state(name)`` at
+    every state slot and one constructor of ``build`` at every other node.
+
+    ``build`` has ``const(label)``, ``inl(x)``, ``inr(x)``, ``tuple(xs)``,
+    ``set(xs)``, ``fun(entries)`` (label/result pairs in label order),
+    ``star()`` and ``pair(a, b)``.  Nothing is checked: ``h`` must be a
+    value that :func:`support` accepts.
+    """
+    if isinstance(container, Identity):
+        return state(h.state)
+    if isinstance(container, Const):
+        return build.const(h.label)
+    if isinstance(container, Sum):
+        if isinstance(h, InL):
+            return build.inl(_fmap(container.left, h.value, state, build))
+        return build.inr(_fmap(container.right, h.value, state, build))
+    if isinstance(container, Product):
+        return build.tuple([_fmap(c, x, state, build) for c, x in zip(container.parts, h.items)])
+    if isinstance(container, FinPow):
+        return build.set([_fmap(container.inner, x, state, build) for x in h.items])
+    if isinstance(container, Exp):
+        return build.fun([(lbl, _fmap(container.base, v, state, build)) for lbl, v in h.entries])
+    if isinstance(h, Star):  # PairNeq
+        return build.star()
+    return build.pair(state(h.left.state), state(h.right.state))
+
+
+_VALUES = SimpleNamespace(
+    const=ConstVal, inl=InL, inr=InR, tuple=lambda xs: TupleOf(tuple(xs)), set=set_of,
+    fun=lambda entries: FunOf(tuple(entries)), star=lambda: STAR, pair=make_pair,
+)
+_SHAPES = SimpleNamespace(
+    const=lambda label: label, inl=lambda x: ("inl", x), inr=lambda x: ("inr", x),
+    tuple=tuple, set=frozenset, fun=tuple, star=lambda: STAR,
+    pair=lambda a, b: STAR if a == b else ("pair", a, b),
+)
+
+
 def hmap(container: Container, f: Mapping[str, str], h: HStructure) -> HStructure:
     """Rename every state slot of ``h`` through ``f`` (the functor action).
 
+    ``h`` must be a value of ``container``, as :func:`support` accepts it.
     Set nodes are re-canonicalized after renaming, and a ``PairNeq`` pair
     whose components collide under ``f`` collapses to ``*``.
     """
-    if isinstance(container, Identity):
-        if not isinstance(h, StateRef):
-            raise _shape_error(container, h)
-        if h.state not in f:
-            raise UnknownStateError(f"map undefined on state {h.state!r}")
-        return StateRef(f[h.state])
-    if isinstance(container, Const):
-        if not isinstance(h, ConstVal):
-            raise _shape_error(container, h)
-        return h
-    if isinstance(container, Sum):
-        if isinstance(h, InL):
-            return InL(hmap(container.left, f, h.value))
-        if isinstance(h, InR):
-            return InR(hmap(container.right, f, h.value))
-        raise _shape_error(container, h)
-    if isinstance(container, Product):
-        if not isinstance(h, TupleOf) or len(h.items) != len(container.parts):
-            raise _shape_error(container, h)
-        return TupleOf(
-            tuple(hmap(c, f, x) for c, x in zip(container.parts, h.items))
-        )
-    if isinstance(container, FinPow):
-        if not isinstance(h, SetOf):
-            raise _shape_error(container, h)
-        return set_of(hmap(container.inner, f, x) for x in h.items)
-    if isinstance(container, Exp):
-        if not isinstance(h, FunOf):
-            raise _shape_error(container, h)
-        return FunOf(
-            tuple((lbl, hmap(container.base, f, v)) for lbl, v in h.entries)
-        )
-    if isinstance(container, PairNeq):
-        if isinstance(h, Star):
-            return h
-        if isinstance(h, Pair):
-            return make_pair(
-                hmap(Identity(), f, h.left), hmap(Identity(), f, h.right)
-            )
-        raise _shape_error(container, h)
-    raise InputError(f"unknown container: {container!r}")
+    def rename(s):
+        if s not in f:
+            raise UnknownStateError(f"map undefined on state {s!r}")
+        return StateRef(f[s])
+
+    return _fmap(container, h, rename, _VALUES)
 
 
 def interpret(container: Container, h: HStructure, env: Mapping[str, object]):
     """Replace state slots by values from ``env``, yielding a plain shape.
 
+    ``h`` must be a value of ``container``, as :func:`support` accepts it.
     The result uses ordinary Python data: labels stay strings, sums become
     ``("inl", x)`` / ``("inr", x)`` tags, products become tuples, sets
     become frozensets, functions become sorted (label, value) tuples, and
@@ -331,38 +338,13 @@ def interpret(container: Container, h: HStructure, env: Mapping[str, object]):
     diagonal normalized to ``STAR``.  Algebra evaluation consumes these
     shapes.
     """
-    if isinstance(container, Identity):
-        if not isinstance(h, StateRef):
-            raise _shape_error(container, h)
+    def value(s):
         try:
-            return env[h.state]
+            return env[s]
         except KeyError:
-            raise UnknownStateError(f"no value for state {h.state!r}") from None
-    if isinstance(container, Const):
-        return h.label
-    if isinstance(container, Sum):
-        if isinstance(h, InL):
-            return ("inl", interpret(container.left, h.value, env))
-        if isinstance(h, InR):
-            return ("inr", interpret(container.right, h.value, env))
-        raise _shape_error(container, h)
-    if isinstance(container, Product):
-        return tuple(
-            interpret(c, x, env) for c, x in zip(container.parts, h.items)
-        )
-    if isinstance(container, FinPow):
-        return frozenset(interpret(container.inner, x, env) for x in h.items)
-    if isinstance(container, Exp):
-        return tuple(
-            (lbl, interpret(container.base, v, env)) for lbl, v in h.entries
-        )
-    if isinstance(container, PairNeq):
-        if isinstance(h, Star):
-            return STAR
-        a = interpret(Identity(), h.left, env)
-        b = interpret(Identity(), h.right, env)
-        return STAR if a == b else ("pair", a, b)
-    raise InputError(f"unknown container: {container!r}")
+            raise UnknownStateError(f"no value for state {s!r}") from None
+
+    return _fmap(container, h, value, _SHAPES)
 
 
 # ---------------------------------------------------------------------------
@@ -439,26 +421,16 @@ def container_from_json(doc, where: str = "$") -> Container:
     raise InputError(f"{where}: unknown container tag {tag!r}")
 
 
-def structure_to_json(h: HStructure):
-    if isinstance(h, StateRef):
-        return {"state": h.state}
-    if isinstance(h, ConstVal):
-        return {"const": h.label}
-    if isinstance(h, InL):
-        return {"inl": structure_to_json(h.value)}
-    if isinstance(h, InR):
-        return {"inr": structure_to_json(h.value)}
-    if isinstance(h, TupleOf):
-        return {"tuple": [structure_to_json(x) for x in h.items]}
-    if isinstance(h, SetOf):
-        return {"set": [structure_to_json(x) for x in h.items]}
-    if isinstance(h, FunOf):
-        return {"fun": {lbl: structure_to_json(v) for lbl, v in h.entries}}
-    if isinstance(h, Star):
-        return {"star": None}
-    if isinstance(h, Pair):
-        return {"pair": [structure_to_json(h.left), structure_to_json(h.right)]}
-    raise InputError(f"unknown structure: {h!r}")
+_JSON = SimpleNamespace(
+    const=lambda label: {"const": label}, inl=lambda x: {"inl": x}, inr=lambda x: {"inr": x},
+    tuple=lambda xs: {"tuple": xs}, set=lambda xs: {"set": xs},
+    fun=lambda entries: {"fun": dict(entries)}, star=lambda: {"star": None},
+    pair=lambda a, b: {"pair": [a, b]},
+)
+
+
+def structure_to_json(container: Container, h: HStructure):
+    return _fmap(container, h, lambda s: {"state": s}, _JSON)
 
 
 def structure_from_json(doc, where: str = "$") -> HStructure:

@@ -388,6 +388,7 @@ def enumerate_terms(sig: Signature, depth: int, limit: int = TERM_LIMIT) -> list
         return []
     terms = [Term(n) for n, a in sig.ops if a == 0]
     start = 0  # terms[start:] are the terms of the greatest height so far
+    starts = [0]  # where each height begins
     for _ in range(depth):
         end = size = len(terms)
         if end == start:  # the last layer was empty, and so is every later one
@@ -405,7 +406,13 @@ def enumerate_terms(sig: Signature, depth: int, limit: int = TERM_LIMIT) -> list
                 )
                 terms.extend(Term(name, combo) for combo in itertools.product(*pools))
         start = end
-    return sorted(terms, key=lambda t: (t.height, str(t)))
+        starts.append(start)
+    starts.append(len(terms))
+    # a term keeps its printed text, so a height of one term is not printed
+    for a, b in zip(starts, starts[1:]):
+        if b - a > 1:
+            terms[a:b] = sorted(terms[a:b], key=str)
+    return terms
 
 
 # ---------------------------------------------------------------------------

@@ -615,3 +615,36 @@ def test_fold_output_is_golden(case, capsys):
     code = main(["fold", f"gallery:{name}", "--algebra", algebra, "--format", fmt])
     out, err = capsys.readouterr()
     assert (out, err, code) == tuple(FOLD_GOLDEN[case][k] for k in ("stdout", "stderr", "exit"))
+
+
+# (signature, --structure document) per case; tests/golden/realize.json holds
+# each case's output in both formats
+REALIZE_INPUTS = {
+    "unary-string": ((("z", 0), ("s", 1)), {"op": "s", "args": ["s(s(z))"]}),
+    "unary-nested": (
+        (("z", 0), ("s", 1)),
+        {"op": "s", "args": [{"op": "s", "args": [{"op": "z", "args": []}]}]},
+    ),
+    "binary-string": ((("leaf", 0), ("node", 2)), {"op": "node", "args": ["node(leaf,leaf)", "leaf"]}),
+    "binary-nested": (
+        (("leaf", 0), ("node", 2)),
+        {"op": "node", "args": [{"op": "node", "args": ["leaf", "node(leaf,leaf)"]}, "leaf"]},
+    ),
+    "mixed-nested": (
+        (("a", 0), ("b", 0), ("f", 1), ("g", 2), ("h", 3)),
+        {"op": "h", "args": [{"op": "f", "args": ["g(a,b)"]}, "b", {"op": "g", "args": ["f(a)", "a"]}]},
+    ),
+}
+REALIZE_GOLDEN = json.loads((GOLDEN / "realize.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", sorted(REALIZE_GOLDEN))
+def test_realize_output_is_golden(case, tmp_path, capsys):
+    # keys are "<input name> <format>"
+    name, fmt = case.split()
+    ops, structure = REALIZE_INPUTS[name]
+    sig = write(tmp_path, "sig.json", signature_to_json(Signature(ops)))
+    structure = write(tmp_path, "structure.json", structure)
+    code = main(["realize", "--sig", sig, "--structure", structure, "--format", fmt])
+    out, err = capsys.readouterr()
+    assert (out, err, code) == tuple(REALIZE_GOLDEN[case][k] for k in ("stdout", "stderr", "exit"))

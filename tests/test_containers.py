@@ -130,6 +130,19 @@ class TestHmap:
                 squash[s] for s in support(container, h)
             }
 
+    def test_interpret_naturality_randomized(self):
+        # interpreting H f (h) in env is interpreting h in env . f
+        rng = rng_for(505)
+        for _ in range(200):
+            container = random_container(rng)
+            states = [f"s{i}" for i in range(rng.randint(1, 5))]
+            h = random_structure(rng, container, states)
+            f = {s: rng.choice(states) for s in states}
+            env = {s: rng.randrange(3) for s in states}
+            assert interpret(container, hmap(container, f, h), env) == interpret(
+                container, h, {s: env[f[s]] for s in support(container, h)}
+            )
+
     def test_no_validating_structure_has_equal_pair(self):
         # normalization is idempotent: whatever we map, pairs stay distinct
         rng = rng_for(303)
@@ -210,8 +223,8 @@ class TestEnumerate:
 class TestJson:
     def test_documented_forms(self):
         assert container_to_json(FinPow(Identity())) == {"finpow": {"id": None}}
-        assert structure_to_json(ref_set("a")) == {"set": [{"state": "a"}]}
-        assert structure_to_json(STAR) == {"star": None}
+        assert structure_to_json(GRAPH, ref_set("a")) == {"set": [{"state": "a"}]}
+        assert structure_to_json(PairNeq(), STAR) == {"star": None}
 
     def test_round_trip_randomized(self):
         rng = rng_for(404)
@@ -220,7 +233,7 @@ class TestJson:
             c = coalg.container
             assert container_from_json(container_to_json(c)) == c
             for h in coalg.structure.values():
-                doc = structure_to_json(h)
+                doc = structure_to_json(c, h)
                 json.dumps(doc)  # must be serializable
                 assert structure_from_json(doc) == h
 
@@ -274,7 +287,7 @@ class TestStructureDecoder:
             coalg = make(rng, 6, depth=3)
             carrier = set(coalg.states)
             for h in coalg.structure.values():
-                doc = structure_to_json(h)
+                doc = structure_to_json(coalg.container, h)
                 self.check_against_reference(coalg.container, carrier, doc)
                 self.check_against_reference(coalg.container, carrier, scrambled(doc))
 

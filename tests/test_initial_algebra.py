@@ -315,6 +315,21 @@ class TestEnumerateTerms:
         sig = Signature((("s", 1),))
         assert enumerate_terms(sig, 4) == []
 
+    def test_a_height_of_one_term_is_not_printed(self, monkeypatch):
+        # a term keeps its printed text once printed: sorting every term of
+        # a deep unary enumeration by its text held hundreds of MB
+        calls = []
+        real = Term.__str__
+
+        def counted(t):
+            calls.append(t)
+            return real(t)
+
+        monkeypatch.setattr(Term, "__str__", counted)
+        # fresh symbols: the intern table may still hold terms printed earlier
+        terms = enumerate_terms(Signature((("unprinted-z", 0), ("unprinted-s", 1))), 500)
+        assert (len(terms), len(calls)) == (501, 0)
+
 
 class TestRealizationReport:
     def test_unary_depth_4(self):

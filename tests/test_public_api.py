@@ -82,3 +82,35 @@ def test_no_package_function_runs_only_under_tests():
             if total[node.name] == names_used(node)[node.name]:
                 unused.append(f"{f.name}:{node.lineno} {node.name}")
     assert unused == []
+
+
+# the top-level functions that walk along a container, one per job; a new
+# walk that rebuilds a value goes through ``containers._fmap``, and any other
+# joins this set with its reason
+CONTAINER_WALKS = {
+    "support",  # the one walk that checks a value against its container
+    "_fmap",  # the functor action: hmap, interpret and structure_to_json
+    "container_to_json",  # walks the container alone, with no value
+    "structure_decoder",  # the one walk that checks a JSON document
+    # walks interpret's shapes, not values; the benchmark's tracer wraps it by name
+    "_shape_to_jsonable",
+}
+
+
+def test_one_container_walk_per_job():
+    def dispatches_on_identity(fn):
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
+                kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+                if any(getattr(k, "id", getattr(k, "attr", None)) == "Identity" for k in kinds):
+                    return True
+        return False
+
+    package = Path(coalg.__file__).resolve().parent
+    walks = {
+        node.name
+        for f in sorted(package.glob("*.py"))
+        for node in ast.parse(f.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef) and dispatches_on_identity(node)
+    }
+    assert walks == CONTAINER_WALKS
