@@ -44,9 +44,12 @@ class CPoint:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if any(c < 0 for c in self.coeffs):
+        # a zero changes neither check: skip the shared ZERO, which the
+        # decoder and `unit` use, by identity rather than by a Fraction method
+        terms = [c for c in self.coeffs if c is not ZERO]
+        if any(c < 0 for c in terms):
             raise InputError(f"negative coefficient in {self.coeffs}")
-        if sum(self.coeffs) != 1:
+        if sum(terms) != 1:
             raise InputError(f"coefficients must sum to 1: {self.coeffs}")
 
     @property
@@ -81,7 +84,9 @@ class CPolytope:
     """
 
     def __init__(self, points: Iterable[CPoint] = ()):
-        vertices = sorted({p for p in points}, key=lambda p: p.coeffs)
+        # equal points are adjacent once sorted: no dense point is hashed
+        ordered = sorted(points, key=lambda p: p.coeffs)
+        vertices = [p for k, p in enumerate(ordered) if not k or p != ordered[k - 1]]
         dims = {p.dim for p in vertices}
         if len(dims) > 1:
             raise InputError(f"mixed dimensions in polytope: {sorted(dims)}")
@@ -367,6 +372,7 @@ def convex_from_json(doc) -> ConvexSpec:
     if not isinstance(succ, list) or len(succ) != n:
         raise InputError(f"$.successors: expected a list of {n} polytopes")
     polys = []
+    parsed: dict[str, Fraction] = {}  # each distinct string is parsed once, 0 to ZERO
     for i, poly_doc in enumerate(succ):
         if not isinstance(poly_doc, list):
             raise InputError(f"$.successors[{i}]: expected a list of vertices")
@@ -376,20 +382,24 @@ def convex_from_json(doc) -> ConvexSpec:
             # a JSON number would reach here already rounded to a float
             if not isinstance(vec, list) or len(vec) != n or not all(isinstance(c, str) for c in vec):
                 raise InputError(f"{where}: expected {n} rational strings")
-            # one screen per vertex: without an exponent, a coefficient has
-            # no more digits than its string has characters
-            text = "".join(vec)
-            screen = "e" in text or "E" in text or len(text) > _MAX_DIGITS
-            if screen and any(map(_LONG_EXPONENT.search, vec)):
-                raise InputError(f"{where}: a decimal exponent has more than 4 digits")
+            new = {c for c in vec if c not in parsed}
+            if new:
+                # one screen per vertex, over the strings that earlier
+                # vertices have not passed: without an exponent, a
+                # coefficient has no more digits than its string has characters
+                text = "".join(new)
+                screen = "e" in text or "E" in text or len(text) > _MAX_DIGITS
+                if screen and any(map(_LONG_EXPONENT.search, new)):
+                    raise InputError(f"{where}: a decimal exponent has more than 4 digits")
+                try:
+                    fresh = {c: Fraction(c) or ZERO for c in new}
+                except (ValueError, ZeroDivisionError):
+                    raise InputError(f"{where}: bad rational") from None
+                if screen and any(max(abs(c.numerator), c.denominator) >= _TOO_LONG for c in fresh.values()):
+                    raise InputError(f"{where}: a coefficient has more than {_MAX_DIGITS} digits")
+                parsed.update(fresh)
             try:
-                coeffs = tuple(Fraction(c) for c in vec)
-            except (ValueError, ZeroDivisionError):
-                raise InputError(f"{where}: bad rational") from None
-            if screen and any(max(abs(c.numerator), c.denominator) >= _TOO_LONG for c in coeffs):
-                raise InputError(f"{where}: a coefficient has more than {_MAX_DIGITS} digits")
-            try:
-                points.append(CPoint(coeffs))
+                points.append(CPoint(tuple(map(parsed.__getitem__, vec))))
             except InputError as exc:
                 raise InputError(f"{where}: {exc}") from None
         polys.append(CPolytope(points))

@@ -267,6 +267,40 @@ def random_convex_spec(rng, max_gens=6, empty_prob=0.3, max_vertices=3):
     return ConvexSpec(polys)
 
 
+def dense_convex_chain(rng, n=200):
+    """A convex document in the dense JSON form, every vertex n strings
+    long: generator g steps to g + 1, and most also to a mix of two or
+    three later generators; the last one has an empty polytope."""
+    successors = []
+    for g in range(n):
+        vertices = [{g + 1: Fraction(1)}] if g < n - 1 else []
+        if g < n - 2 and rng.random() < 0.6:
+            support = rng.sample(range(g + 1, n), min(n - g - 1, rng.randint(2, 3)))
+            raw = [rng.randint(1, 9) for _ in support]
+            vertices.append({k: Fraction(r, sum(raw)) for k, r in zip(support, raw)})
+        successors.append([[str(v.get(k, 0)) for k in range(n)] for v in vertices])
+    return {"version": 1, "kind": "convex", "generators": n, "successors": successors}
+
+
+def polytope_vertices(points):
+    """The vertex order of a ``CPolytope``, by hashing the points into a set
+    (the oracle for its sort-then-drop-neighbours dedupe)."""
+    return tuple(sorted(set(points), key=lambda p: p.coeffs))
+
+
+def spellings(c):
+    """Strings that parse to the rational ``c``, in a few notations."""
+    out = [str(c), f"{c.numerator * 2}/{c.denominator * 2}"]
+    den = c.denominator
+    while den % 2 == 0:
+        den //= 2
+    while den % 5 == 0:
+        den //= 5
+    if den == 1:  # a terminating decimal
+        out.append(repr(float(c)))
+    return out
+
+
 def vertex_choices(spec, p):
     """All per-support-generator vertex choices of successors(spec, p)."""
     supp = sorted(p.support)

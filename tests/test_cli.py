@@ -402,6 +402,32 @@ class TestLimits:
         assert time.perf_counter() - start < 0.5
         self.assert_input_error(capsys, f"$.successors[0][0]: a {message}")
 
+    @pytest.mark.parametrize(
+        "coefficient, message",
+        [("1e-5000", "a coefficient has more than 4300 digits"),
+         ("1e-4000000", "a decimal exponent has more than 4 digits"),
+         ("x", "bad rational")],
+    )
+    @pytest.mark.parametrize(
+        "successors, where",
+        [([[["1", "0"], ["1/2", "1/2"], ["C", "1"]], [["0", "1"]]], "[0][2]"),
+         ([[["1", "0"], ["1/2", "1/2"]], [["0", "1"], ["1", "C"]]], "[1][1]"),
+         # the bad string repeats: it is reported where it first appears
+         ([[["0", "1"], ["1/2", "1/2"]], [["1/2", "C"], ["C", "C"]]], "[1][0]")],
+    )
+    def test_oversized_convex_coefficient_after_cached_strings(
+        self, tmp_path, capsys, coefficient, message, successors, where
+    ):
+        # each distinct string is parsed once; the screens still see a
+        # string first met after other vertices have been decoded
+        successors = [[[coefficient if c == "C" else c for c in v] for v in p] for p in successors]
+        doc = {"version": 1, "kind": "convex", "generators": 2, "successors": successors}
+        path = write(tmp_path, "big.json", doc)
+        start = time.perf_counter()
+        assert main(["check-wf", path]) == 3
+        assert time.perf_counter() - start < 0.5
+        self.assert_input_error(capsys, f"$.successors{where}: {message}")
+
     def signature(self, tmp_path, *ops):
         doc = {"version": 1, "kind": "signature", "ops": [{"name": n, "arity": a} for n, a in ops]}
         return write(tmp_path, "sig.json", doc)

@@ -1,7 +1,9 @@
+import time
 from fractions import Fraction
 
 import pytest
 
+from coalg import convex
 from coalg.convex import (
     CPoint,
     CPolytope,
@@ -24,12 +26,15 @@ from genutil import (
     combine_choice,
     convex_round_ranks,
     convex_to_json,
+    dense_convex_chain,
     non_wf_greatest_fixpoint,
+    polytope_vertices,
     random_convex_spec,
     random_cpoint,
     random_fraction01,
     rng_for,
     sample_support_path,
+    spellings,
     vertex_choices,
 )
 
@@ -296,3 +301,60 @@ class TestJson:
             point(["1/2", "1/4"])  # does not sum to 1
         with pytest.raises(InputError):
             point(["3/2", "-1/2"])  # negative entry
+
+    def test_point_invariant_messages(self):
+        # the sign check comes first, and both quote the whole tuple
+        with pytest.raises(InputError, match=r"^negative coefficient in \(Fraction\(0, 1\), "):
+            point(["0", "-1/2", "1/4"])
+        with pytest.raises(InputError, match=r"^coefficients must sum to 1: \(Fraction\(0, 1\), "):
+            point(["0", "1/2", "1/4"])
+
+    def test_dense_chain_parses_each_distinct_string_once(self, monkeypatch):
+        doc = dense_convex_chain(rng_for(191))
+        distinct = {c for poly in doc["successors"] for v in poly for c in v}
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(convex, "Fraction", counting)
+        spec = convex_from_json(doc)
+        assert len(calls) <= len(distinct)
+        monkeypatch.undo()
+        assert convex_from_json(doc).polytopes == spec.polytopes
+        best = float("inf")
+        for _ in range(5):
+            start = time.perf_counter()
+            convex_from_json(doc)
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.05
+
+    def test_equal_values_spelled_differently_decode_to_one_vertex(self):
+        rng = rng_for(193)
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            points = [random_cpoint(rng, n) for _ in range(rng.randint(1, 4))]
+            vertices = [[rng.choice(spellings(c)) for c in p.coeffs] for p in points * 2]
+            rng.shuffle(vertices)
+            doc = {"version": 1, "kind": "convex", "generators": n, "successors": [vertices] * n}
+            assert convex_from_json(doc).polytopes == (CPolytope(points),) * n
+
+
+class TestPolytope:
+    def test_vertex_order_matches_the_set_oracle(self):
+        rng = rng_for(197)
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            pool = [random_cpoint(rng, n) for _ in range(rng.randint(1, 5))]
+            # repeats, and equal values spelled differently
+            points = [
+                point([rng.choice(spellings(c)) for c in rng.choice(pool).coeffs])
+                for _ in range(rng.randint(0, 12))
+            ]
+            assert CPolytope(points).vertices == polytope_vertices(points)
+
+    def test_mixed_dimensions_are_refused(self):
+        points = [unit(0, 2), point(["1/2", "0.5"]), unit(1, 3), unit(0, 2)]
+        with pytest.raises(InputError, match=r"^mixed dimensions in polytope: \[2, 3\]$"):
+            CPolytope(points)

@@ -87,10 +87,17 @@ def run_every_command(path, structure, state):
         ["check-5.2", "--sig", path, "--depth", "2"],
         ["realize", "--sig", path, "--structure", structure],
     ]
-    for argv in commands:
-        for fmt in ("json", "text"):
-            assert run([*argv, "--format", fmt]) in (0, 1, 2, 3), argv
-    assert run(["export-dot", path]) in (0, 1, 2, 3)
+    # Hypothesis raises the recursion limit while a test runs; the commands
+    # run under the interpreter's default one, as the console's do
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        for argv in commands:
+            for fmt in ("json", "text"):
+                assert run([*argv, "--format", fmt]) in (0, 1, 2, 3), argv
+        assert run(["export-dot", path]) in (0, 1, 2, 3)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def nested(before, leaf, after, levels):
@@ -159,11 +166,4 @@ def test_deep_nesting_keeps_the_exit_code_contract(work, case):
     doc, structure = case
     (work / "deep.json").write_text(doc, encoding="utf-8")
     (work / "deep-structure.json").write_text(structure, encoding="utf-8")
-    # Hypothesis raises the recursion limit while a test runs; the commands
-    # run under the interpreter's default one, as the console's do
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    try:
-        run_every_command(str(work / "deep.json"), str(work / "deep-structure.json"), "a")
-    finally:
-        sys.setrecursionlimit(limit)
+    run_every_command(str(work / "deep.json"), str(work / "deep-structure.json"), "a")

@@ -317,6 +317,19 @@ class TestSolveRecursion:
             assert solve_recursion(coalg, count_algebra(c)) == solve_recursion(coalg, count)
             assert solve_recursion(coalg, induction_algebra(c)) == solve_recursion(coalg, induction)
 
+    def test_count_is_rank_minus_one_on_graphs(self):
+        # on finpow(id) the height algebra and the fixpoint rank count the
+        # same longest path, from 0 and from 1
+        rng = rng_for(101)
+        for _ in range(50):
+            names = [f"s{i:02d}" for i in range(rng.randint(1, 30))]
+            edges = {x: rng.sample(names[i + 1:], rng.randint(0, min(4, len(names) - i - 1)))
+                     for i, x in enumerate(names)}
+            coalg = graph(edges)
+            values = solve_recursion(coalg, count_algebra(GRAPH))
+            rank = well_founded_part(coalg).rank
+            assert values == {x: rank[x] - 1 for x in names}
+
     def test_self_loop_cycles(self):
         with pytest.raises(CycleError):
             solve_recursion(graph({"s": ["s"]}), count_algebra(GRAPH))
