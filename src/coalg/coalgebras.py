@@ -386,9 +386,5 @@ def coalgebra_from_json(doc) -> FiniteCoalgebra:
         raise InputError(
             f"$.structure: structure must be total on the carrier (missing {missing}, extra {extra})"
         )
-    decode = structure_decoder(container, carrier)
-    structure = {}
-    succ = {}
-    for x in list(raw):
-        structure[x], succ[x] = decode(raw.pop(x), f"$.structure.{x}")
+    structure, succ = structure_decoder(container, carrier)(raw, "$.structure.")
     return FiniteCoalgebra._trusted(container, states, structure, succ)

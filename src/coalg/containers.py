@@ -13,7 +13,7 @@ duplicate-free so that structural equality is plain ``==``.
 from __future__ import annotations
 
 import itertools
-from types import SimpleNamespace
+import operator
 from typing import Iterable, Mapping, Union
 
 from .errors import InputError, UnknownStateError
@@ -185,12 +185,13 @@ def structure_key(h: HStructure):
     return (tag, structure_key(h.left), structure_key(h.right))
 
 
-def set_of(items: Iterable[HStructure]) -> SetOf:
-    """Build a canonical set node: duplicates removed, members sorted."""
+def set_of(items: Iterable[HStructure], key=structure_key) -> SetOf:
+    """Build a canonical set node: duplicates removed, members sorted by
+    ``key``, which must order them as :func:`structure_key` does."""
     items = tuple(items)
     if len(items) < 2:
         return SetOf(items)
-    dedup = {structure_key(x): x for x in items}
+    dedup = {key(x): x for x in items}
     return SetOf(tuple(dedup[k] for k in sorted(dedup)))
 
 
@@ -211,7 +212,318 @@ def make_pair(left: HStructure, right: HStructure) -> HStructure:
 
 
 # ---------------------------------------------------------------------------
-# the three functor operations
+# the walks of a value along its container, compiled once per container
+#
+# Each walk is Python source generated for one container, as records.py
+# generates methods: a function ``w<k>`` per distinct sub-container k runs
+# the node's checks inline and inlines an Identity or Const child, so no
+# walk dispatches on the container at run time.  Block nesting is fixed, so
+# a container of any depth compiles; a walk takes one frame per value level.
+#
+# decoding JSON: w<k>(doc, refs, interned) is the value ``doc`` spells, its
+# states added to ``refs``; ``interned`` gives the StateRef of each name
+_DECODE = dict(
+    id=[
+        's = x.get("state") if type(x) is dict and len(x) == 1 else None',
+        "v = interned.get(s) if type(s) is str else None",
+        "if v is None: v = _intern(x, interned)",
+    ],
+    ref=["refs.add(s)"],  # after a state, unless its parent (a set or a pair) adds them
+    const=[
+        'l = x.get("const") if type(x) is dict and len(x) == 1 else None',
+        "v = L{j}.get(l) if type(l) is str else None",
+        "if v is None: raise _bad_leaf(x, 'const', C{j}.labels)",
+    ],
+    call=["v = w{j}(x, refs, interned)"],
+    key={"id": "s", "const": "l"},
+    leaf="def w{k}(x, refs, interned):\n    {child}\n    return v",
+    sum="""def w{k}(doc, refs, interned):
+    tag = next(iter(doc)) if type(doc) is dict and len(doc) == 1 else None
+    if tag != "inl" and tag != "inr": raise _tag_error(doc, ("inl", "inr"))
+    x = doc[tag]
+    try:
+        if tag == "inl":
+            {child}
+            return InL(v)
+        {right}
+        return InR(v)
+    except _Mismatch as exc: raise exc.at("." + tag)""",
+    product="""def w{k}(doc, refs, interned):
+    body = _body(doc, "tuple")
+    if type(body) is not list or len(body) != {n}: raise _Mismatch("expected a list of {n} values", ".tuple")
+    items = []
+    try:
+        for f, x in zip(wP{k}, body): items.append(f(x, refs, interned))
+    except _Mismatch as exc: raise exc.at(f".tuple[{{len(items)}}]")
+    return TupleOf(tuple(items))""",
+    finpow="""def w{k}(doc, refs, interned):
+    body = doc["set"] if type(doc) is dict and len(doc) == 1 and "set" in doc else _body(doc, "set")
+    if type(body) is not list: raise _Mismatch("expected a list", ".set")
+    items = {{}}  # sort key -> member
+    try:
+        for i, x in enumerate(body):
+            {child}
+            items[{key}] = v
+    except _Mismatch as exc: raise exc.at(f".set[{{i}}]")
+    {refs}
+    return SetOf(tuple([items[k] for k in sorted(items)]))""",
+    exp="""def w{k}(doc, refs, interned):
+    body = _body(doc, "fun")
+    if type(body) is not dict or body.keys() != X{k}: raise _Mismatch(E{k}, ".fun")
+    items = {{}}
+    try:
+        for lbl, x in body.items():
+            {child}
+            items[lbl] = v
+    except _Mismatch as exc: raise exc.at(f".fun.{{lbl}}")
+    return FunOf(tuple([(l, items[l]) for l in S{k}]))""",
+    pairneq="""def w{k}(doc, refs, interned):
+    if type(doc) is dict and len(doc) == 1 and "star" in doc:
+        if doc["star"] is not None: raise _Mismatch("expected null", ".star")
+        return STAR
+    body = _body(doc, "pair", ("star", "pair"))
+    if type(body) is not list or len(body) != 2: raise _Mismatch("expected [left, right]", ".pair")
+    pair = []
+    try:
+        for x in body:
+            {child}
+            pair.append(v)
+    except _Mismatch as exc: raise exc.at(f".pair[{{len(pair)}}]")
+    if pair[0] is pair[1]: return STAR  # one StateRef per name; * references no state
+    refs.update((pair[0].state, pair[1].state))
+    return Pair(*pair)""",
+)
+
+# checking a value: w<k>(h, out) raises InputError unless ``h`` is a value
+# of node k, and adds its states to ``out``.  The checks run in the order of
+# a depth-first walk that takes a node's children from the last.
+_SUPPORT = dict(
+    id=["if type(x) is not StateRef or not x.state: raise _shape_error(C{j}, x)", "out.add(x.state)"],
+    const=["if type(x) is not ConstVal or x.label not in C{j}.labels: raise _shape_error(C{j}, x)"],
+    call=["w{j}(x, out)"],
+    key={"id": "v.state", "const": "v.label"},
+    leaf="def w{k}(x, out):\n    {child}",
+    sum="""def w{k}(h, out):
+    if type(h) is not InL and type(h) is not InR: raise _shape_error(C{k}, h)
+    x = h.value
+    if type(h) is InL:
+        {child}
+    else:
+        {right}""",
+    product="""def w{k}(h, out):
+    if type(h) is not TupleOf or len(h.items) != {n}: raise _shape_error(C{k}, h)
+    for f, x in zip(reversed(wP{k}), reversed(h.items)): f(x, out)""",
+    finpow="""def w{k}(h, out):
+    if type(h) is not SetOf: raise _shape_error(C{k}, h)
+    for x in reversed(h.items):
+        {child}
+    keys = [{key} for v in h.items]
+    if any(map(operator.ge, keys, keys[1:])): raise InputError(f"set {{h!r}} is not sorted and duplicate-free")""",
+    exp="""def w{k}(h, out):
+    if type(h) is not FunOf or [l for l, _ in h.entries] != S{k}: raise _shape_error(C{k}, h)
+    for _, x in reversed(h.entries):
+        {child}""",
+    pairneq="""def w{k}(h, out):
+    if type(h) is Pair and h.left != h.right:
+        for x in (h.right, h.left):
+            {child}
+    elif type(h) is not Star: raise _shape_error(C{k}, h)""",
+)
+
+# the functor action: w<k>(h, env) rebuilds ``h``, a value that ``support``
+# accepts, bottom-up through one table of constructors, checking nothing.
+# The sort key k<k>(v), into _KEYS, orders the values of node k as
+# ``structure_key`` does, leaving out the tags they all share.
+_VALUES = dict(
+    id="StateRef(env[{}.state])", const="{}", inl="InL({})", inr="InR({})", tuple="TupleOf(tuple({}))",
+    set="set_of({}, k{j})", fun="FunOf(tuple({}))", star="STAR", pair="make_pair({}, {})",
+)
+_SHAPES = dict(
+    id="env[{}.state]", const="{}.label", inl='("inl", {})', inr='("inr", {})', tuple="tuple({})",
+    set="frozenset({})", fun="tuple({})", star="STAR", pair='STAR if {0} == {1} else ("pair", {0}, {1})',
+)
+_JSON = dict(
+    id='{{"state": {}.state}}', const='{{"const": {}.label}}', inl='{{"inl": {}}}', inr='{{"inr": {}}}',
+    tuple='{{"tuple": {}}}', set='{{"set": {}}}', fun='{{"fun": dict({})}}', star='{{"star": None}}',
+    pair='{{"pair": [{}, {}]}}',
+)
+_KEYS = dict(
+    id="{}.state", const="{}.label", inl="(2, {})", inr="(3, {})", tuple="tuple({})", set="tuple({})",
+    fun="tuple({})", star="(7,)", pair="(8, {}, {})",
+)
+_WALKS = {"decode": _DECODE, "support": _SUPPORT, "values": _VALUES, "shapes": _SHAPES, "json": _JSON}
+PART_LIMIT = 5000  # distinct sub-containers of a compiled container
+
+
+def _compile(container, walk: str):
+    """Generate and exec one walk of ``container``; return its root function.
+    The sub-containers are listed children first, equal ones once."""
+    at: dict[int, int] = {}  # id(node) -> its position in nodes
+    shared: dict[tuple, int] = {}  # (kind, labels, kid positions) -> position
+    nodes, todo = [], [container]
+    while todo:
+        c = todo[-1]
+        kind, kids, labels = (
+            ("id", (), ()) if isinstance(c, Identity)
+            else ("const", (), c.labels) if isinstance(c, Const)
+            else ("sum", (c.left, c.right), ()) if isinstance(c, Sum)
+            else ("product", c.parts, ()) if isinstance(c, Product)
+            else ("finpow", (c.inner,), ()) if isinstance(c, FinPow)
+            else ("exp", (c.base,), c.exponent) if isinstance(c, Exp)
+            else ("pairneq", (_IDENTITY,), ()) if isinstance(c, PairNeq)  # its two state slots
+            else (None, (), ())
+        )
+        if kind is None:
+            raise InputError(f"unknown container: {c!r}")
+        new = [x for x in kids if id(x) not in at]
+        todo += new
+        if not new and id(todo.pop()) not in at:
+            key = (kind, labels, tuple(at[id(x)] for x in kids))
+            at[id(c)] = shared.setdefault(key, len(nodes))
+            if at[id(c)] == len(nodes):
+                nodes.append((kind, c, key[2]))
+        if len(nodes) > PART_LIMIT:
+            raise InputError(f"functor has more than {PART_LIMIT} distinct parts")
+    keyed = set()  # the set members and their parts, which need sort keys
+    for k in reversed(range(len(nodes))):
+        if nodes[k][0] == "finpow" or k in keyed:
+            keyed.update(nodes[k][2])
+    scope, source = dict(_SCOPE), []
+    for k, (kind, node, kids) in enumerate(nodes):
+        scope[f"C{k}"] = node
+        if kind == "const":
+            scope[f"L{k}"] = {lbl: ConstVal(lbl) for lbl in node.labels}
+        elif kind == "exp":
+            scope[f"X{k}"], scope[f"S{k}"] = set(node.exponent), sorted(node.exponent)
+            scope[f"E{k}"] = f"expected an object with labels {sorted(node.exponent)}"
+        source += (_lines_source if walk in ("decode", "support") else _fmap_source)(_WALKS[walk], k, nodes)
+        source += _fmap_source(_KEYS, k, nodes, "k") if k in keyed and walk not in ("shapes", "json") else []
+    exec("\n".join(source), scope)
+    for k, (kind, _, kids) in enumerate(nodes):
+        if kind == "product":
+            scope[f"wP{k}"], scope[f"kP{k}"] = (tuple(scope.get(f"{f}{j}") for j in kids) for f in "wk")
+    return scope[f"w{len(nodes) - 1}"]
+
+
+def _lines_source(table, k, nodes) -> list[str]:
+    # the source of w<k> in a walk of statements: decode or support
+    kind, _, kids = nodes[k]
+    j = kids[0] if kids else k
+
+    def child(i):  # the lines that walk x under node i, leaving its value in v
+        leaf = nodes[i][0]
+        if leaf not in ("id", "const"):
+            return [table["call"][0].format(j=i)]
+        # a set or a pair of states adds them to refs itself
+        ref = table.get("ref", []) if leaf == "id" and kind not in ("finpow", "pairneq") else []
+        return [line.format(j=i) for line in table[leaf] + ref]
+
+    children = {"child": child(j), "right": child(kids[-1] if kids else k)}
+    key = table["key"].get(nodes[j][0], f"k{j}(v)")
+    fields = dict(k=k, j=j, n=len(kids), key=key, refs="refs.update(items)" if key == "s" else "pass")
+    out = []
+    for line in table["leaf" if kind in ("id", "const") else kind].split("\n"):
+        name = line.strip()[1:-1]
+        out += [line[: line.index("{")] + c for c in children[name]] if name in children else [line.format(**fields)]
+    return out
+
+
+def _fmap_source(table, k, nodes, fn="w") -> list[str]:
+    # the source of <fn><k> in a functor action; ``map`` calls a child that is
+    # not a leaf with no frame of its own, as a comprehension would add
+    kind, _, kids = nodes[k]
+    j = kids[0] if kids else k
+
+    def child(j, h):
+        return table[nodes[j][0]].format(h) if nodes[j][0] in ("id", "const") else f"{fn}{j}({h}, env)"
+
+    def each(seq):
+        leaf = nodes[j][0] in ("id", "const")
+        return f"[{child(j, 'x')} for x in {seq}]" if leaf else f"list(map({fn}{j}, {seq}, itertools.repeat(env)))"
+
+    body = {
+        "id": lambda: child(k, "h"),
+        "const": lambda: child(k, "h"),
+        "sum": lambda: f"{table['inl'].format(child(j, 'h.value'))} if type(h) is InL"
+        f" else {table['inr'].format(child(kids[1], 'h.value'))}",
+        "product": lambda: table["tuple"].format(f"list(map(operator.call, {fn}P{k}, h.items, itertools.repeat(env)))"),
+        "finpow": lambda: table["set"].format(each("h.items"), j=j),
+        "exp": lambda: table["fun"].format(f"list(zip(S{k}, {each('[x for _, x in h.entries]')}))"),
+        "pairneq": lambda: f"{table['star'].format()} if type(h) is Star else {fn}pair{k}("
+        f"{child(j, 'h.left')}, {child(j, 'h.right')})",
+    }[kind]()
+    pair = [f"def {fn}pair{k}(a, b): return {table['pair'].format('a', 'b')}"] if kind == "pairneq" else []
+    return [f"def {fn}{k}(h, env=None): return {body}"] + pair
+
+
+# id(container) -> (container, {walk: root function}): hashing a container
+# recurses as deep as it is, and holding it keeps its id from being reused
+_COMPILED: dict[int, tuple] = {}
+
+
+def _walk(container, walk: str):
+    try:
+        return _COMPILED[id(container)][1][walk]
+    except KeyError:
+        fn = _compile(container, walk)
+        _COMPILED.setdefault(id(container), (container, {}))[1][walk] = fn
+        return fn
+
+
+def _shape_error(container, h):
+    return InputError(f"structure {h!r} does not match container {container!r}")
+
+
+class _Mismatch(Exception):
+    """A decode error; each enclosing node adds its step to the JSON path."""
+
+    def __init__(self, msg: str, step: str = ""):
+        super().__init__(msg)
+        self.msg, self.steps = msg, [step] if step else []
+
+    def at(self, step: str) -> "_Mismatch":
+        self.steps.append(step)
+        return self
+
+
+def _tag_error(doc, tags) -> _Mismatch:
+    want = " or ".join(repr(t) for t in tags)
+    if isinstance(doc, dict) and len(doc) == 1:
+        return _Mismatch(f"expected tag {want}, got {next(iter(doc))!r}")
+    return _Mismatch(f"expected a single-key object tagged {want}, got {doc!r}")
+
+
+def _body(doc, tag: str, tags=None):
+    if isinstance(doc, dict) and len(doc) == 1 and tag in doc:
+        return doc[tag]
+    raise _tag_error(doc, tags or (tag,))
+
+
+def _intern(x, interned: dict):
+    """The StateRef of the state that ``x`` names, made on its first reference."""
+    s = x.get("state") if type(x) is dict and len(x) == 1 else None
+    if type(s) is not str or not s or s not in interned:
+        raise _bad_leaf(x, "state", None)
+    v = interned[s] = StateRef(s)
+    return v
+
+
+def _bad_leaf(x, tag: str, labels) -> _Mismatch:
+    """Why ``x`` is not a state reference (``labels`` None) or one of ``labels``."""
+    s = _body(x, tag)
+    if labels is not None:
+        return _Mismatch(f"expected one of {list(labels)}, got {s!r}", ".const")
+    if type(s) is not str or not s:
+        return _Mismatch("expected a non-empty string", ".state")
+    return _Mismatch(f"{s!r} is not a carrier state", ".state")
+
+
+_SCOPE = dict(  # the names the generated code uses
+    InL=InL, InR=InR, TupleOf=TupleOf, SetOf=SetOf, FunOf=FunOf, Star=Star, STAR=STAR, Pair=Pair,
+    StateRef=StateRef, ConstVal=ConstVal, InputError=InputError, make_pair=make_pair, set_of=set_of,
+    _Mismatch=_Mismatch, _tag_error=_tag_error, _body=_body, _bad_leaf=_bad_leaf, _intern=_intern,
+    _shape_error=_shape_error, operator=operator, itertools=itertools,
+)
 
 
 def support(container: Container, h: HStructure) -> frozenset[str]:
@@ -222,94 +534,14 @@ def support(container: Container, h: HStructure) -> frozenset[str]:
     state whose transition structure is ``h``.  The same walk checks that
     ``h`` is a well-typed, canonical value: constructor types, declared
     ``Const`` labels, ``Product`` arity, set members strictly increasing
-    (sorted and duplicate-free), exactly the ``Exp`` labels, non-empty
-    state names, and distinct ``PairNeq`` components (the equal case is
-    only legal as ``*``).  The first mismatch raises :class:`InputError`.
+    (sorted and duplicate-free; checked after the members), exactly the
+    ``Exp`` labels, non-empty state names, and distinct ``PairNeq``
+    components (the equal case is only legal as ``*``).  The first mismatch
+    raises :class:`InputError`.
     """
     out: set[str] = set()
-    todo = [(container, h)]
-    while todo:
-        c, h = todo.pop()
-        if isinstance(c, Identity):
-            if not (isinstance(h, StateRef) and h.state):
-                raise _shape_error(c, h)
-            out.add(h.state)
-        elif isinstance(c, Const):
-            if not (isinstance(h, ConstVal) and h.label in c.labels):
-                raise _shape_error(c, h)
-        elif isinstance(c, Sum):
-            if isinstance(h, InL):
-                todo.append((c.left, h.value))
-            elif isinstance(h, InR):
-                todo.append((c.right, h.value))
-            else:
-                raise _shape_error(c, h)
-        elif isinstance(c, Product):
-            if not (isinstance(h, TupleOf) and len(h.items) == len(c.parts)):
-                raise _shape_error(c, h)
-            todo.extend(zip(c.parts, h.items))
-        elif isinstance(c, FinPow):
-            if not isinstance(h, SetOf):
-                raise _shape_error(c, h)
-            keys = [structure_key(x) for x in h.items]
-            if any(a >= b for a, b in zip(keys, keys[1:])):
-                raise InputError(f"set {h!r} is not sorted and duplicate-free")
-            todo.extend((c.inner, x) for x in h.items)
-        elif isinstance(c, Exp):
-            if not (isinstance(h, FunOf) and [lbl for lbl, _ in h.entries] == sorted(c.exponent)):
-                raise _shape_error(c, h)
-            todo.extend((c.base, v) for _, v in h.entries)
-        elif isinstance(c, PairNeq):
-            if isinstance(h, Pair) and h.left != h.right:
-                todo += ((_IDENTITY, h.left), (_IDENTITY, h.right))
-            elif not isinstance(h, Star):
-                raise _shape_error(c, h)
-        else:
-            raise InputError(f"unknown container: {c!r}")
+    _walk(container, "support")(h, out)
     return frozenset(out)
-
-
-def _shape_error(container, h):
-    return InputError(f"structure {h!r} does not match container {container!r}")
-
-
-def _fmap(container: Container, h: HStructure, state, build):
-    """Rebuild ``h``, a value of ``container``, bottom-up: ``state(name)`` at
-    every state slot and one constructor of ``build`` at every other node.
-
-    ``build`` has ``const(label)``, ``inl(x)``, ``inr(x)``, ``tuple(xs)``,
-    ``set(xs)``, ``fun(entries)`` (label/result pairs in label order),
-    ``star()`` and ``pair(a, b)``.  Nothing is checked: ``h`` must be a
-    value that :func:`support` accepts.
-    """
-    if isinstance(container, Identity):
-        return state(h.state)
-    if isinstance(container, Const):
-        return build.const(h.label)
-    if isinstance(container, Sum):
-        if isinstance(h, InL):
-            return build.inl(_fmap(container.left, h.value, state, build))
-        return build.inr(_fmap(container.right, h.value, state, build))
-    if isinstance(container, Product):
-        return build.tuple([_fmap(c, x, state, build) for c, x in zip(container.parts, h.items)])
-    if isinstance(container, FinPow):
-        return build.set([_fmap(container.inner, x, state, build) for x in h.items])
-    if isinstance(container, Exp):
-        return build.fun([(lbl, _fmap(container.base, v, state, build)) for lbl, v in h.entries])
-    if isinstance(h, Star):  # PairNeq
-        return build.star()
-    return build.pair(state(h.left.state), state(h.right.state))
-
-
-_VALUES = SimpleNamespace(
-    const=ConstVal, inl=InL, inr=InR, tuple=lambda xs: TupleOf(tuple(xs)), set=set_of,
-    fun=lambda entries: FunOf(tuple(entries)), star=lambda: STAR, pair=make_pair,
-)
-_SHAPES = SimpleNamespace(
-    const=lambda label: label, inl=lambda x: ("inl", x), inr=lambda x: ("inr", x),
-    tuple=tuple, set=frozenset, fun=tuple, star=lambda: STAR,
-    pair=lambda a, b: STAR if a == b else ("pair", a, b),
-)
 
 
 def hmap(container: Container, f: Mapping[str, str], h: HStructure) -> HStructure:
@@ -319,12 +551,10 @@ def hmap(container: Container, f: Mapping[str, str], h: HStructure) -> HStructur
     Set nodes are re-canonicalized after renaming, and a ``PairNeq`` pair
     whose components collide under ``f`` collapses to ``*``.
     """
-    def rename(s):
-        if s not in f:
-            raise UnknownStateError(f"map undefined on state {s!r}")
-        return StateRef(f[s])
-
-    return _fmap(container, h, rename, _VALUES)
+    try:
+        return _walk(container, "values")(h, f)
+    except KeyError as exc:
+        raise UnknownStateError(f"map undefined on state {exc.args[0]!r}") from None
 
 
 def interpret(container: Container, h: HStructure, env: Mapping[str, object]):
@@ -338,13 +568,41 @@ def interpret(container: Container, h: HStructure, env: Mapping[str, object]):
     diagonal normalized to ``STAR``.  Algebra evaluation consumes these
     shapes.
     """
-    def value(s):
-        try:
-            return env[s]
-        except KeyError:
-            raise UnknownStateError(f"no value for state {s!r}") from None
+    try:
+        return _walk(container, "shapes")(h, env)
+    except KeyError as exc:
+        raise UnknownStateError(f"no value for state {exc.args[0]!r}") from None
 
-    return _fmap(container, h, value, _SHAPES)
+
+def structure_to_json(container: Container, h: HStructure):
+    return _walk(container, "json")(h)
+
+
+def structure_decoder(container: Container, carrier):
+    """The one-pass decoder of the JSON values of ``container``.
+
+    ``decode(docs, where="$")`` decodes each value of the dict ``docs`` and
+    removes it there, and returns the values and their supports, keyed
+    alike.  One walk of a document checks it against the container and its
+    state names against ``carrier``, and builds the canonical value that
+    :func:`structure_from_json` builds, with one ``StateRef`` per name.  An
+    error names the JSON path ``where``, then the key, then the steps in it.
+    """
+    root = _walk(container, "decode")
+    interned = dict.fromkeys(carrier)  # state name -> its StateRef, made on first use
+
+    def decode(docs: dict, where: str = "$"):
+        values, supports = {}, {}
+        for key in list(docs):
+            refs: set[str] = set()
+            try:
+                values[key] = root(docs.pop(key), refs, interned)
+            except _Mismatch as exc:
+                raise InputError(f"{where}{key}{''.join(reversed(exc.steps))}: {exc.msg}") from None
+            supports[key] = frozenset(refs)
+        return values, supports
+
+    return decode
 
 
 # ---------------------------------------------------------------------------
@@ -421,18 +679,6 @@ def container_from_json(doc, where: str = "$") -> Container:
     raise InputError(f"{where}: unknown container tag {tag!r}")
 
 
-_JSON = SimpleNamespace(
-    const=lambda label: {"const": label}, inl=lambda x: {"inl": x}, inr=lambda x: {"inr": x},
-    tuple=lambda xs: {"tuple": xs}, set=lambda xs: {"set": xs},
-    fun=lambda entries: {"fun": dict(entries)}, star=lambda: {"star": None},
-    pair=lambda a, b: {"pair": [a, b]},
-)
-
-
-def structure_to_json(container: Container, h: HStructure):
-    return _fmap(container, h, lambda s: {"state": s}, _JSON)
-
-
 def structure_from_json(doc, where: str = "$") -> HStructure:
     tag, body = _tagged(doc, where)
     if tag == "state":
@@ -478,179 +724,3 @@ def structure_from_json(doc, where: str = "$") -> HStructure:
             structure_from_json(body[1], f"{where}.pair[1]"),
         )
     raise InputError(f"{where}: unknown structure tag {tag!r}")
-
-
-# ---------------------------------------------------------------------------
-# one-pass decoding against a known container
-
-
-class _Mismatch(Exception):
-    """A decode error; each enclosing node adds its step to the JSON path."""
-
-    def __init__(self, msg: str, step: str = ""):
-        super().__init__(msg)
-        self.msg = msg
-        self.steps = [step] if step else []
-
-
-def _tag_error(doc, tags) -> _Mismatch:
-    want = " or ".join(repr(t) for t in tags)
-    if isinstance(doc, dict) and len(doc) == 1:
-        return _Mismatch(f"expected tag {want}, got {next(iter(doc))!r}")
-    return _Mismatch(f"expected a single-key object tagged {want}, got {doc!r}")
-
-
-def _body(doc, tag: str):
-    if isinstance(doc, dict) and len(doc) == 1 and tag in doc:
-        return doc[tag]
-    raise _tag_error(doc, (tag,))
-
-
-def _decode_items(decoders, body, refs, tag: str) -> list:
-    """Decode ``body[i]`` with ``decoders[i]``; an error's path gets ``.tag[i]``."""
-    items = []
-    try:
-        for decode, x in zip(decoders, body):
-            items.append(decode(x, refs))
-    except _Mismatch as exc:
-        exc.steps.append(f".{tag}[{len(items)}]")
-        raise
-    return items
-
-
-def structure_decoder(container: Container, carrier):
-    """Compile ``container`` into a one-pass decoder of its JSON values.
-
-    ``decode(doc, where)`` returns ``(h, support)``.  A single walk of
-    ``doc`` checks every tag and type against the container and every state
-    reference against ``carrier`` (a set of state ids), builds the canonical
-    value that :func:`structure_from_json` builds (through ``set_of``,
-    ``fun_of`` and ``make_pair``, so unsorted or repeated set members and
-    pairs of equal states are normalized), and collects the states the value
-    references.  Equal state references share one ``StateRef``.  A value
-    that does not fit raises :class:`InputError` naming its JSON path below
-    ``where``.
-    """
-    interned: dict[str, StateRef] = {}
-
-    def identity(doc, refs):
-        # _body inlined: this and ``finpow`` are the hot nodes
-        if not (isinstance(doc, dict) and len(doc) == 1 and "state" in doc):
-            raise _tag_error(doc, ("state",))
-        s = doc["state"]
-        r = interned.get(s) if isinstance(s, str) else None
-        if r is None:
-            if not isinstance(s, str) or not s:
-                raise _Mismatch("expected a non-empty string", ".state")
-            if s not in carrier:
-                raise _Mismatch(f"{s!r} is not a carrier state", ".state")
-            r = interned[s] = StateRef(s)
-        refs.add(s)
-        return r
-
-    def compile_node(c):
-        if isinstance(c, Identity):
-            return identity
-        if isinstance(c, Const):
-            consts = {lbl: ConstVal(lbl) for lbl in c.labels}
-
-            def const(doc, refs):
-                lbl = _body(doc, "const")
-                v = consts.get(lbl) if isinstance(lbl, str) else None
-                if v is None:
-                    raise _Mismatch(f"expected one of {list(c.labels)}, got {lbl!r}", ".const")
-                return v
-
-            return const
-        if isinstance(c, Sum):
-            sides = {"inl": (InL, compile_node(c.left)), "inr": (InR, compile_node(c.right))}
-
-            def sum_(doc, refs):
-                tag = next(iter(doc)) if isinstance(doc, dict) and len(doc) == 1 else None
-                if tag not in sides:
-                    raise _tag_error(doc, tuple(sides))
-                wrap, inner = sides[tag]
-                try:
-                    return wrap(inner(doc[tag], refs))
-                except _Mismatch as exc:
-                    exc.steps.append("." + tag)
-                    raise
-
-            return sum_
-        if isinstance(c, Product):
-            parts = tuple(compile_node(p) for p in c.parts)
-
-            def product(doc, refs):
-                body = _body(doc, "tuple")
-                if not isinstance(body, list) or len(body) != len(parts):
-                    raise _Mismatch(f"expected a list of {len(parts)} values", ".tuple")
-                return TupleOf(tuple(_decode_items(parts, body, refs, "tuple")))
-
-            return product
-        if isinstance(c, FinPow):
-            inner = compile_node(c.inner)
-
-            def finpow(doc, refs):
-                if not (isinstance(doc, dict) and len(doc) == 1 and "set" in doc):
-                    raise _tag_error(doc, ("set",))
-                body = doc["set"]
-                if not isinstance(body, list):
-                    raise _Mismatch("expected a list", ".set")
-                return set_of(_decode_items(itertools.repeat(inner), body, refs, "set"))
-
-            return finpow
-        if isinstance(c, Exp):
-            base = compile_node(c.base)
-            labels = set(c.exponent)
-
-            def exp(doc, refs):
-                body = _body(doc, "fun")
-                if not isinstance(body, dict) or body.keys() != labels:
-                    raise _Mismatch(f"expected an object with labels {sorted(labels)}", ".fun")
-                entries = {}
-                lbl = ""
-                try:
-                    for lbl, v in body.items():
-                        entries[lbl] = base(v, refs)
-                except _Mismatch as exc:
-                    exc.steps.append(f".fun.{lbl}")
-                    raise
-                return fun_of(entries)
-
-            return exp
-        if isinstance(c, PairNeq):
-
-            def pairneq(doc, refs):
-                if isinstance(doc, dict) and len(doc) == 1:
-                    if "star" in doc:
-                        if doc["star"] is not None:
-                            raise _Mismatch("expected null", ".star")
-                        return STAR
-                    if "pair" in doc:
-                        body = doc["pair"]
-                        if not isinstance(body, list) or len(body) != 2:
-                            raise _Mismatch("expected [left, right]", ".pair")
-                        # a pair of equal states is * and references nothing
-                        pair_refs: set[str] = set()
-                        left, right = _decode_items((identity, identity), body, pair_refs, "pair")
-                        h = make_pair(left, right)
-                        if h is not STAR:
-                            refs.update(pair_refs)
-                        return h
-                raise _tag_error(doc, ("star", "pair"))
-
-            return pairneq
-        raise InputError(f"unknown container: {c!r}")
-
-    root = compile_node(container)
-
-    def decode(doc, where: str = "$"):
-        refs: set[str] = set()
-        try:
-            h = root(doc, refs)
-        except _Mismatch as exc:
-            path = "".join(reversed(exc.steps))
-            raise InputError(f"{where}{path}: {exc.msg}") from None
-        return h, frozenset(refs)
-
-    return decode

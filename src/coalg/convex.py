@@ -58,8 +58,9 @@ class CPoint:
 
     @property
     def support(self) -> frozenset[int]:
-        # coefficients are nonnegative, so nonzero means positive
-        return frozenset(i for i, c in enumerate(self.coeffs) if c)
+        # coefficients are nonnegative, so nonzero means positive; the shared
+        # ZERO is skipped by identity, with no Fraction method call
+        return frozenset(i for i, c in enumerate(self.coeffs) if c is not ZERO and c)
 
     def __str__(self):
         return "(" + ", ".join(str(c) for c in self.coeffs) + ")"

@@ -2,6 +2,7 @@
 and the oracles and JSON encoders that only tests use."""
 
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -22,16 +23,19 @@ from coalg.containers import (
     PairNeq,
     Product,
     STAR,
+    SetOf,
+    Star,
     StateRef,
     Sum,
     TupleOf,
     fun_of,
+    make_pair,
     set_of,
     structure_key,
 )
 from coalg.coalgebras import FiniteCoalgebra
 from coalg.convex import CPoint, CPolytope, ConvexSpec
-from coalg.errors import InputError
+from coalg.errors import InputError, UnknownStateError
 from coalg.nominal import (
     FRESH_CASE,
     INPUT_SLOT,
@@ -457,6 +461,294 @@ def enumerate_structures(container, states):
     else:
         raise InputError(f"unknown container: {container!r}")
     return sorted(out, key=structure_key)
+
+
+# ---------------------------------------------------------------------------
+# the generic walks of a value along its container: the reference oracles of
+# the walks that coalg.containers compiles per container
+
+
+def reference_support(container, h):
+    """The states of ``h``, a value of ``container``; raises InputError on
+    anything that is not a canonical value."""
+    def mismatch(c, h):
+        return InputError(f"structure {h!r} does not match container {c!r}")
+
+    out = set()
+    todo = [(container, h)]
+    while todo:
+        c, h = todo.pop()
+        if isinstance(c, Identity):
+            if not (isinstance(h, StateRef) and h.state):
+                raise mismatch(c, h)
+            out.add(h.state)
+        elif isinstance(c, Const):
+            if not (isinstance(h, ConstVal) and h.label in c.labels):
+                raise mismatch(c, h)
+        elif isinstance(c, Sum):
+            if isinstance(h, InL):
+                todo.append((c.left, h.value))
+            elif isinstance(h, InR):
+                todo.append((c.right, h.value))
+            else:
+                raise mismatch(c, h)
+        elif isinstance(c, Product):
+            if not (isinstance(h, TupleOf) and len(h.items) == len(c.parts)):
+                raise mismatch(c, h)
+            todo.extend(zip(c.parts, h.items))
+        elif isinstance(c, FinPow):
+            if not isinstance(h, SetOf):
+                raise mismatch(c, h)
+            keys = [structure_key(x) for x in h.items]
+            if any(a >= b for a, b in zip(keys, keys[1:])):
+                raise InputError(f"set {h!r} is not sorted and duplicate-free")
+            todo.extend((c.inner, x) for x in h.items)
+        elif isinstance(c, Exp):
+            if not (isinstance(h, FunOf) and [lbl for lbl, _ in h.entries] == sorted(c.exponent)):
+                raise mismatch(c, h)
+            todo.extend((c.base, v) for _, v in h.entries)
+        elif isinstance(h, Pair) and h.left != h.right:  # PairNeq
+            todo += ((Identity(), h.left), (Identity(), h.right))
+        elif not isinstance(h, Star):
+            raise mismatch(c, h)
+    return frozenset(out)
+
+
+def reference_fmap(container, h, state, build):
+    """Rebuild ``h`` bottom-up: ``state(name)`` at each state slot and one
+    constructor of the table ``build`` at every other node."""
+    if isinstance(container, Identity):
+        return state(h.state)
+    if isinstance(container, Const):
+        return build["const"](h.label)
+    if isinstance(container, Sum):
+        if isinstance(h, InL):
+            return build["inl"](reference_fmap(container.left, h.value, state, build))
+        return build["inr"](reference_fmap(container.right, h.value, state, build))
+    if isinstance(container, Product):
+        return build["tuple"]([reference_fmap(c, x, state, build) for c, x in zip(container.parts, h.items)])
+    if isinstance(container, FinPow):
+        return build["set"]([reference_fmap(container.inner, x, state, build) for x in h.items])
+    if isinstance(container, Exp):
+        return build["fun"]([(lbl, reference_fmap(container.base, v, state, build)) for lbl, v in h.entries])
+    if isinstance(h, Star):  # PairNeq
+        return build["star"]()
+    return build["pair"](state(h.left.state), state(h.right.state))
+
+
+REFERENCE_VALUES = dict(
+    const=ConstVal, inl=InL, inr=InR, tuple=lambda xs: TupleOf(tuple(xs)), set=set_of,
+    fun=lambda entries: FunOf(tuple(entries)), star=lambda: STAR, pair=make_pair,
+)
+REFERENCE_SHAPES = dict(
+    const=lambda label: label, inl=lambda x: ("inl", x), inr=lambda x: ("inr", x),
+    tuple=tuple, set=frozenset, fun=tuple, star=lambda: STAR,
+    pair=lambda a, b: STAR if a == b else ("pair", a, b),
+)
+REFERENCE_JSON = dict(
+    const=lambda label: {"const": label}, inl=lambda x: {"inl": x}, inr=lambda x: {"inr": x},
+    tuple=lambda xs: {"tuple": xs}, set=lambda xs: {"set": xs},
+    fun=lambda entries: {"fun": dict(entries)}, star=lambda: {"star": None},
+    pair=lambda a, b: {"pair": [a, b]},
+)
+
+
+def reference_hmap(container, f, h):
+    def rename(s):
+        if s not in f:
+            raise UnknownStateError(f"map undefined on state {s!r}")
+        return StateRef(f[s])
+
+    return reference_fmap(container, h, rename, REFERENCE_VALUES)
+
+
+def reference_interpret(container, h, env):
+    def value(s):
+        try:
+            return env[s]
+        except KeyError:
+            raise UnknownStateError(f"no value for state {s!r}") from None
+
+    return reference_fmap(container, h, value, REFERENCE_SHAPES)
+
+
+def reference_structure_to_json(container, h):
+    return reference_fmap(container, h, lambda s: {"state": s}, REFERENCE_JSON)
+
+
+class _Mismatch(Exception):
+    def __init__(self, msg, step=""):
+        super().__init__(msg)
+        self.msg = msg
+        self.steps = [step] if step else []
+
+
+def _tag_error(doc, tags):
+    want = " or ".join(repr(t) for t in tags)
+    if isinstance(doc, dict) and len(doc) == 1:
+        return _Mismatch(f"expected tag {want}, got {next(iter(doc))!r}")
+    return _Mismatch(f"expected a single-key object tagged {want}, got {doc!r}")
+
+
+def _body(doc, tag):
+    if isinstance(doc, dict) and len(doc) == 1 and tag in doc:
+        return doc[tag]
+    raise _tag_error(doc, (tag,))
+
+
+def _decode_items(decoders, body, refs, tag):
+    items = []
+    try:
+        for decode, x in zip(decoders, body):
+            items.append(decode(x, refs))
+    except _Mismatch as exc:
+        exc.steps.append(f".{tag}[{len(items)}]")
+        raise
+    return items
+
+
+def reference_decoder(container, carrier):
+    """The one-pass JSON decoder built from closures, one per container node:
+    ``decode(doc, where)`` gives ``(h, support)`` or raises InputError naming
+    the JSON path below ``where``."""
+    interned = {}
+
+    def identity(doc, refs):
+        s = _body(doc, "state")
+        if not isinstance(s, str) or not s:
+            raise _Mismatch("expected a non-empty string", ".state")
+        if s not in carrier:
+            raise _Mismatch(f"{s!r} is not a carrier state", ".state")
+        refs.add(s)
+        return interned.setdefault(s, StateRef(s))
+
+    def compile_node(c):
+        if isinstance(c, Identity):
+            return identity
+        if isinstance(c, Const):
+            def const(doc, refs):
+                lbl = _body(doc, "const")
+                if not isinstance(lbl, str) or lbl not in c.labels:
+                    raise _Mismatch(f"expected one of {list(c.labels)}, got {lbl!r}", ".const")
+                return ConstVal(lbl)
+            return const
+        if isinstance(c, Sum):
+            sides = {"inl": (InL, compile_node(c.left)), "inr": (InR, compile_node(c.right))}
+
+            def sum_(doc, refs):
+                tag = next(iter(doc)) if isinstance(doc, dict) and len(doc) == 1 else None
+                if tag not in sides:
+                    raise _tag_error(doc, tuple(sides))
+                wrap, inner = sides[tag]
+                try:
+                    return wrap(inner(doc[tag], refs))
+                except _Mismatch as exc:
+                    exc.steps.append("." + tag)
+                    raise
+            return sum_
+        if isinstance(c, Product):
+            parts = tuple(compile_node(p) for p in c.parts)
+
+            def product(doc, refs):
+                body = _body(doc, "tuple")
+                if not isinstance(body, list) or len(body) != len(parts):
+                    raise _Mismatch(f"expected a list of {len(parts)} values", ".tuple")
+                return TupleOf(tuple(_decode_items(parts, body, refs, "tuple")))
+            return product
+        if isinstance(c, FinPow):
+            inner = compile_node(c.inner)
+
+            def finpow(doc, refs):
+                body = _body(doc, "set")
+                if not isinstance(body, list):
+                    raise _Mismatch("expected a list", ".set")
+                return set_of(_decode_items(itertools.repeat(inner), body, refs, "set"))
+            return finpow
+        if isinstance(c, Exp):
+            base = compile_node(c.base)
+            labels = set(c.exponent)
+
+            def exp(doc, refs):
+                body = _body(doc, "fun")
+                if not isinstance(body, dict) or body.keys() != labels:
+                    raise _Mismatch(f"expected an object with labels {sorted(labels)}", ".fun")
+                entries = {}
+                lbl = ""
+                try:
+                    for lbl, v in body.items():
+                        entries[lbl] = base(v, refs)
+                except _Mismatch as exc:
+                    exc.steps.append(f".fun.{lbl}")
+                    raise
+                return fun_of(entries)
+            return exp
+
+        def pairneq(doc, refs):
+            if isinstance(doc, dict) and len(doc) == 1:
+                if "star" in doc:
+                    if doc["star"] is not None:
+                        raise _Mismatch("expected null", ".star")
+                    return STAR
+                if "pair" in doc:
+                    body = doc["pair"]
+                    if not isinstance(body, list) or len(body) != 2:
+                        raise _Mismatch("expected [left, right]", ".pair")
+                    pair_refs = set()
+                    h = make_pair(*_decode_items((identity, identity), body, pair_refs, "pair"))
+                    if h is not STAR:
+                        refs.update(pair_refs)
+                    return h
+            raise _tag_error(doc, ("star", "pair"))
+        return pairneq
+
+    root = compile_node(container)
+
+    def decode(doc, where="$"):
+        refs = set()
+        try:
+            h = root(doc, refs)
+        except _Mismatch as exc:
+            raise InputError(f"{where}{''.join(reversed(exc.steps))}: {exc.msg}") from None
+        return h, frozenset(refs)
+
+    return decode
+
+
+def malformed(rng, doc, states):
+    """``doc``, the JSON of a value, with one sub-document replaced by a
+    nearby wrong one: another tag, body or state, a repeated, dropped or
+    extra item, or an extra key."""
+    paths = []
+    todo = [((), doc)]
+    while todo:
+        path, node = todo.pop()
+        paths.append(path)
+        if isinstance(node, dict):
+            todo.extend((path + (k,), v) for k, v in node.items())
+        elif isinstance(node, list):
+            todo.extend((path + (i,), v) for i, v in enumerate(node))
+    path = rng.choice(paths)
+    doc = json.loads(json.dumps(doc))
+    parent, node = None, doc
+    for key in path:
+        parent, node = node, node[key]
+    if isinstance(node, list) and node and rng.random() < 0.5:
+        bad = rng.choice([node[:-1], node + node[:1], node + [{"state": "ghost"}], node[::-1]])
+    elif isinstance(node, dict) and node and rng.random() < 0.3:
+        bad = {**node, "extra": None}
+    else:
+        bad = rng.choice([
+            None, 5, "s0", [], {}, {"state": rng.choice(states + ["", "ghost"])}, {"state": 3},
+            {"const": rng.choice(["p", "q", "r", "z", 1])}, {"inl": {"state": "s0"}},
+            {"inr": {"const": "p"}}, {"inx": None}, {"tuple": [{"state": "s0"}]}, {"tuple": 5},
+            {"set": []}, {"set": 5}, {"set": [{"state": "s0"}, {"state": "s0"}]},
+            {"fun": {"x": {"state": "s0"}}}, {"fun": []}, {"star": None}, {"star": 1},
+            {"pair": [{"state": "s0"}, {"state": "s0"}]}, {"pair": [{"state": "s0"}]},
+        ])
+    if parent is None:
+        return bad
+    parent[path[-1]] = bad
+    return doc
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,20 @@
+import builtins
 import json
+import sys
 
 import pytest
 
+import coalg.containers
+from coalg.coalgebras import coalgebra_from_json, count_algebra, unfold_algebra
 from coalg.containers import (
+    PART_LIMIT,
     Const,
     ConstVal,
     Exp,
     FinPow,
     Identity,
     InL,
+    InR,
     Pair,
     PairNeq,
     Product,
@@ -29,14 +35,22 @@ from coalg.containers import (
     structure_to_json,
     support,
 )
-from coalg.errors import InputError, UnknownStateError
+from coalg.errors import AnalysisError, InputError, UnknownStateError
+
+from coalg.wellfounded import solve_recursion
 
 from genutil import (
     enumerate_structures,
+    malformed,
     random_coalgebra,
     random_container,
     random_structure,
     random_wf_coalgebra,
+    reference_decoder,
+    reference_hmap,
+    reference_interpret,
+    reference_structure_to_json,
+    reference_support,
     rng_for,
 )
 
@@ -270,12 +284,18 @@ def scrambled(doc):
     return out
 
 
+def decode_one(container, carrier, doc, where="$"):
+    """``doc`` decoded alone by the decoder of a table of documents."""
+    values, supports = structure_decoder(container, carrier)({"": doc}, where)
+    return values[""], supports[""]
+
+
 class TestStructureDecoder:
     """The one-pass decoder against the reference path: structure_from_json,
     then support."""
 
     def check_against_reference(self, container, carrier, doc):
-        h, refs = structure_decoder(container, carrier)(doc)
+        h, refs = decode_one(container, carrier, doc)
         expected = structure_from_json(doc)
         assert h == expected
         assert refs == support(container, expected)
@@ -294,18 +314,18 @@ class TestStructureDecoder:
     def test_unsorted_set_with_duplicates(self):
         doc = {"set": [{"state": "b"}, {"state": "a"}, {"state": "b"}]}
         self.check_against_reference(GRAPH, {"a", "b"}, doc)
-        assert structure_decoder(GRAPH, {"a", "b"})(doc) == (ref_set("a", "b"), {"a", "b"})
+        assert decode_one(GRAPH, {"a", "b"}, doc) == (ref_set("a", "b"), {"a", "b"})
 
     def test_equal_component_pair_is_star(self):
         doc = {"pair": [{"state": "a"}, {"state": "a"}]}
         self.check_against_reference(PairNeq(), {"a"}, doc)
-        assert structure_decoder(PairNeq(), {"a"})(doc) == (STAR, frozenset())
+        assert decode_one(PairNeq(), {"a"}, doc) == (STAR, frozenset())
 
     def test_equal_state_refs_are_shared(self):
         decode = structure_decoder(Product((Identity(), Identity())), {"a"})
-        h, _ = decode({"tuple": [{"state": "a"}, {"state": "a"}]})
-        assert h.items[0] is h.items[1]
-        assert decode({"tuple": [{"state": "a"}, {"state": "a"}]})[0].items[0] is h.items[0]
+        values, _ = decode({"x": {"tuple": [{"state": "a"}, {"state": "a"}]}})
+        assert values["x"].items[0] is values["x"].items[1]
+        assert decode({"y": {"tuple": [{"state": "a"}, {"state": "a"}]}})[0]["y"].items[0] is values["x"].items[0]
 
     @pytest.mark.parametrize(
         "container, doc, error",
@@ -334,11 +354,11 @@ class TestStructureDecoder:
     )
     def test_errors_name_the_json_path(self, container, doc, error):
         with pytest.raises(InputError, match=error):
-            structure_decoder(container, {"a"})(doc)
+            decode_one(container, {"a"}, doc)
 
     def test_where_prefixes_the_path(self):
         with pytest.raises(InputError, match=r"^\$\.structure\.s\.set\[0\]\.state: "):
-            structure_decoder(GRAPH, {"a"})({"set": [{"state": "b"}]}, "$.structure.s")
+            structure_decoder(GRAPH, {"a"})({"s": {"set": [{"state": "b"}]}}, "$.structure.")
 
 
 class TestConstructors:
@@ -361,3 +381,141 @@ class TestConstructors:
     def test_set_of_sorts_and_dedups(self):
         s = set_of([StateRef("b"), StateRef("a"), StateRef("b")])
         assert s == ref_set("a", "b")
+
+
+def outcome(f, *args):
+    """``f(*args)``, or the type and text of the error it raises."""
+    try:
+        return f(*args)
+    except AnalysisError as exc:
+        return type(exc), str(exc)
+
+
+class TestCompiledWalks:
+    """The walks compiled per container against the generic walks they
+    replaced, kept in genutil as oracles."""
+
+    def test_walks_match_the_reference_oracles(self):
+        rng = rng_for(1414)
+        for _ in range(250):
+            container = random_container(rng, depth=rng.choice([3, 4]))
+            states = [f"s{i}" for i in range(rng.randint(1, 4))]
+            reference = reference_decoder(container, set(states))
+            for _ in range(3):
+                h = random_structure(rng, container, states)
+                assert support(container, h) == reference_support(container, h)
+                doc = structure_to_json(container, h)
+                assert doc == reference_structure_to_json(container, h)
+                assert decode_one(container, set(states), doc) == reference(doc) == (h, support(container, h))
+                assert decode_one(container, set(states), scrambled(doc)) == reference(scrambled(doc))
+                f = {s: rng.choice(states) for s in states[: rng.randint(0, len(states))]}
+                assert outcome(hmap, container, f, h) == outcome(reference_hmap, container, f, h)
+                env = {s: rng.randrange(3) for s in rng.sample(states, rng.randint(0, len(states)))}
+                assert outcome(interpret, container, h, env) == outcome(reference_interpret, container, h, env)
+
+    def test_malformed_documents_give_the_reference_errors(self):
+        rng = rng_for(1515)
+        failed = 0
+        for _ in range(300):
+            container = random_container(rng, depth=rng.choice([3, 4]))
+            states = [f"s{i}" for i in range(rng.randint(1, 4))]
+            doc = structure_to_json(container, random_structure(rng, container, states))
+            for _ in range(3):
+                bad = malformed(rng, doc, states)
+                got = outcome(decode_one, container, set(states), bad, "$.structure.x")
+                assert got == outcome(reference_decoder(container, set(states)), bad, "$.structure.x")
+                failed += isinstance(got[0], type)
+        assert failed > 500  # most of the 900 documents are not values
+
+    def test_non_values_are_refused_as_the_reference_refuses_them(self):
+        cases = [
+            (GRAPH, SetOf((StateRef("b"), StateRef("a")))),
+            (FinPow(Sum(Identity(), Const(("u",)))), SetOf((InR(ConstVal("u")), InL(StateRef("a"))))),
+            (FinPow(PairNeq()), SetOf((make_pair(StateRef("a"), StateRef("b")), STAR))),
+            (Product((Identity(), Const(("u",)))), TupleOf((StateRef("a"), ConstVal("w")))),
+            (Exp(Identity(), ("y", "x")), fun_of({"x": StateRef("a"), "y": StateRef("")})),
+            (PairNeq(), Pair(ConstVal("a"), StateRef("b"))),
+            (Sum(GRAPH, PairNeq()), InR(SetOf(()))),
+        ]
+        for container, h in cases:
+            assert outcome(support, container, h) == outcome(reference_support, container, h)
+
+    def test_functors_of_too_many_distinct_parts_are_refused(self):
+        # each distinct part is a generated function; equal parts share one
+        many = Product(tuple(Const((f"l{i}",)) for i in range(PART_LIMIT)))
+        with pytest.raises(InputError, match=rf"^functor has more than {PART_LIMIT} distinct parts$"):
+            support(many, TupleOf(tuple(ConstVal(f"l{i}") for i in range(PART_LIMIT))))
+        equal = Product(tuple(FinPow(Identity()) for _ in range(2 * PART_LIMIT)))
+        assert support(equal, TupleOf((ref_set("a", "b"),) * 2 * PART_LIMIT)) == {"a", "b"}
+
+    def test_each_walk_compiles_once_per_container(self, monkeypatch):
+        compiled = []
+
+        def counting_exec(source, scope):
+            compiled.append(source)
+            return builtins.exec(source, scope)
+
+        monkeypatch.setattr(coalg.containers, "exec", counting_exec, raising=False)
+        states = [f"s{i}" for i in range(1000)]
+        doc = {
+            "version": 1, "kind": "set-coalgebra", "functor": {"finpow": {"id": None}}, "states": states,
+            "structure": {s: {"set": [{"state": t} for t in states[i + 1: i + 4]]} for i, s in enumerate(states)},
+        }
+        system = coalgebra_from_json(doc)
+        assert len(compiled) == 1  # the decoder, for 1000 states
+        solve_recursion(system, count_algebra(system.container))
+        solve_recursion(system, unfold_algebra(system.container))
+        assert len(compiled) == 2  # and interpret, for 2000 values
+        for h in system.structure.values():
+            support(system.container, h)
+            structure_to_json(system.container, h)
+        assert len(compiled) == 4
+
+
+def nested_finpow(levels):
+    c = Identity()
+    for _ in range(levels):
+        c = FinPow(c)
+    return c
+
+
+def nested_set(levels):
+    h = SetOf(())
+    for _ in range(levels - 1):
+        h = SetOf((h,))
+    return h
+
+
+def chain(x, kind, inner):
+    """The levels of ``x``, a chain of one-member sets ending in an empty one,
+    counted without recursion (comparing it with ``==`` recurses)."""
+    n = 1
+    while type(x) is kind and (x := inner(x)) is not None:
+        n += 1
+    return n if x is None else -1
+
+
+def levels_of(h):
+    return chain(h, SetOf, lambda v: v.items[0] if v.items else None)
+
+
+@pytest.mark.parametrize("levels", [1, 2, 300, 490, 1000])
+def test_containers_as_deep_as_json_allows(levels):
+    """A container nested as deep as a JSON file can spell one compiles, and
+    each walk of it runs under the interpreter's default recursion limit, on
+    a value as deep as a JSON file can spell (two JSON levels per set)."""
+    container = nested_finpow(levels)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        for depth in (1, min(levels, 490)):
+            h = nested_set(depth)
+            assert support(container, h) == frozenset()
+            doc = structure_to_json(container, h)
+            assert chain(doc, dict, lambda d: d["set"][0] if d["set"] else None) == depth
+            decoded, refs = decode_one(container, {"a"}, doc)
+            assert (levels_of(decoded), refs) == (depth, frozenset())
+            assert levels_of(hmap(container, {}, h)) == depth
+            assert chain(interpret(container, h, {}), frozenset, lambda f: next(iter(f), None)) == depth
+    finally:
+        sys.setrecursionlimit(limit)

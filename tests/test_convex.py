@@ -330,6 +330,19 @@ class TestJson:
             best = min(best, time.perf_counter() - start)
         assert best < 0.05
 
+    def test_support_tests_only_the_nonzero_coefficients(self, monkeypatch):
+        spec = convex_from_json(dense_convex_chain(rng_for(191)))
+        vertices = [v for poly in spec.polytopes for v in poly.vertices]
+        nonzero = sum(c != 0 for v in vertices for c in v.coeffs)
+        expected = [frozenset(i for i, c in enumerate(v.coeffs) if c != 0) for v in vertices]
+        calls = []
+        real = Fraction.__bool__
+        monkeypatch.setattr(Fraction, "__bool__", lambda c: calls.append(c) or real(c))
+        supports = [v.support for v in vertices]
+        monkeypatch.undo()
+        assert supports == expected
+        assert 0 < len(calls) <= nonzero < sum(v.dim for v in vertices)
+
     def test_equal_values_spelled_differently_decode_to_one_vertex(self):
         rng = rng_for(193)
         for _ in range(40):

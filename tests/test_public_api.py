@@ -85,13 +85,13 @@ def test_no_package_function_runs_only_under_tests():
 
 
 # the top-level functions that walk along a container, one per job; a new
-# walk that rebuilds a value goes through ``containers._fmap``, and any other
+# walk of a value is generated by ``containers._compile``, and any other
 # joins this set with its reason
 CONTAINER_WALKS = {
-    "support",  # the one walk that checks a value against its container
-    "_fmap",  # the functor action: hmap, interpret and structure_to_json
+    # compiles every walk of a value: support, the functor action behind
+    # hmap, interpret and structure_to_json, the sort keys, and the decoder
+    "_compile",
     "container_to_json",  # walks the container alone, with no value
-    "structure_decoder",  # the one walk that checks a JSON document
     # walks interpret's shapes, not values; the benchmark's tracer wraps it by name
     "_shape_to_jsonable",
 }
