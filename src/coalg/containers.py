@@ -23,13 +23,17 @@ from .records import record
 # containers
 
 
+class _Node:
+    __slots__ = ("_walks",)  # walk name -> its compiled root function, made on first use
+
+
 @record
-class Identity:
+class Identity(_Node):
     """One state slot."""
 
 
 @record
-class Const:
+class Const(_Node):
     """A fixed finite set of labels; no state slots."""
 
     labels: tuple[str, ...]
@@ -44,13 +48,13 @@ class Const:
 
 
 @record
-class Sum:
+class Sum(_Node):
     left: "Container"
     right: "Container"
 
 
 @record
-class Product:
+class Product(_Node):
     parts: tuple["Container", ...]
 
     def __post_init__(self):
@@ -59,14 +63,14 @@ class Product:
 
 
 @record
-class FinPow:
+class FinPow(_Node):
     """Finite sets of inner values."""
 
     inner: "Container"
 
 
 @record
-class Exp:
+class Exp(_Node):
     """Functions from a fixed finite label set into inner values."""
 
     base: "Container"
@@ -82,7 +86,7 @@ class Exp:
 
 
 @record
-class PairNeq:
+class PairNeq(_Node):
     """Ordered pairs of *distinct* states, plus a point ``*``.
 
     The diagonal is collapsed: a pair whose components become equal under
@@ -185,14 +189,16 @@ def structure_key(h: HStructure):
     return (tag, structure_key(h.left), structure_key(h.right))
 
 
-def set_of(items: Iterable[HStructure], key=structure_key) -> SetOf:
+def set_of(items: Iterable[HStructure]) -> SetOf:
     """Build a canonical set node: duplicates removed, members sorted by
-    ``key``, which must order them as :func:`structure_key` does."""
+    :func:`structure_key`."""
     items = tuple(items)
-    if len(items) < 2:
-        return SetOf(items)
-    dedup = {key(x): x for x in items}
-    return SetOf(tuple(dedup[k] for k in sorted(dedup)))
+    return SetOf(items) if len(items) < 2 else _canonical({structure_key(x): x for x in items})
+
+
+def _canonical(members: dict) -> SetOf:
+    """The set of the values of ``members``, sorted by their keys."""
+    return SetOf(tuple([members[k] for k in sorted(members)]))
 
 
 def fun_of(entries) -> FunOf:
@@ -266,7 +272,7 @@ _DECODE = dict(
             items[{key}] = v
     except _Mismatch as exc: raise exc.at(f".set[{{i}}]")
     {refs}
-    return SetOf(tuple([items[k] for k in sorted(items)]))""",
+    return _canonical(items)""",
     exp="""def w{k}(doc, refs, interned):
     body = _body(doc, "fun")
     if type(body) is not dict or body.keys() != X{k}: raise _Mismatch(E{k}, ".fun")
@@ -333,10 +339,11 @@ _SUPPORT = dict(
 # the functor action: w<k>(h, env) rebuilds ``h``, a value that ``support``
 # accepts, bottom-up through one table of constructors, checking nothing.
 # The sort key k<k>(v), into _KEYS, orders the values of node k as
-# ``structure_key`` does, leaving out the tags they all share.
+# ``structure_key`` does, leaving out the tags they all share; a set's
+# members are ``items`` and their keys ``{keys}``.
 _VALUES = dict(
     id="StateRef(env[{}.state])", const="{}", inl="InL({})", inr="InR({})", tuple="TupleOf(tuple({}))",
-    set="set_of({}, k{j})", fun="FunOf(tuple({}))", star="STAR", pair="make_pair({}, {})",
+    set="_canonical(dict(zip({keys}, {})))", fun="FunOf(tuple({}))", star="STAR", pair="make_pair({}, {})",
 )
 _SHAPES = dict(
     id="env[{}.state]", const="{}.label", inl='("inl", {})', inr='("inr", {})', tuple="tuple({})",
@@ -352,7 +359,7 @@ _KEYS = dict(
     fun="tuple({})", star="(7,)", pair="(8, {}, {})",
 )
 _WALKS = {"decode": _DECODE, "support": _SUPPORT, "values": _VALUES, "shapes": _SHAPES, "json": _JSON}
-PART_LIMIT = 5000  # distinct sub-containers of a compiled container
+_KEYED = ("decode", "support", "values")  # the walks that sort set members
 
 
 def _compile(container, walk: str):
@@ -382,13 +389,11 @@ def _compile(container, walk: str):
             at[id(c)] = shared.setdefault(key, len(nodes))
             if at[id(c)] == len(nodes):
                 nodes.append((kind, c, key[2]))
-        if len(nodes) > PART_LIMIT:
-            raise InputError(f"functor has more than {PART_LIMIT} distinct parts")
     keyed = set()  # the set members and their parts, which need sort keys
     for k in reversed(range(len(nodes))):
         if nodes[k][0] == "finpow" or k in keyed:
             keyed.update(nodes[k][2])
-    scope, source = dict(_SCOPE), []
+    scope, source, lines = dict(_SCOPE), [], walk in ("decode", "support")
     for k, (kind, node, kids) in enumerate(nodes):
         scope[f"C{k}"] = node
         if kind == "const":
@@ -396,12 +401,18 @@ def _compile(container, walk: str):
         elif kind == "exp":
             scope[f"X{k}"], scope[f"S{k}"] = set(node.exponent), sorted(node.exponent)
             scope[f"E{k}"] = f"expected an object with labels {sorted(node.exponent)}"
-        source += (_lines_source if walk in ("decode", "support") else _fmap_source)(_WALKS[walk], k, nodes)
-        source += _fmap_source(_KEYS, k, nodes, "k") if k in keyed and walk not in ("shapes", "json") else []
-    exec("\n".join(source), scope)
+        leaf = kind in ("id", "const")  # inlined into its parents, or a closure in a product's loop
+        if lines and leaf:
+            scope[f"w{k}"] = _LEAVES[walk, kind](scope.get(f"L{k}"), node)
+        elif not leaf or k == len(nodes) - 1:
+            source += (_lines_source if lines else _fmap_source)(_WALKS[walk], k, nodes)
+        source += _fmap_source(_KEYS, k, nodes, "k") if k in keyed and not leaf and walk in _KEYED else []
+        if len(source) > 2000 or k == len(nodes) - 1:  # compiling takes memory in proportion to the source
+            exec("\n".join(source), scope)
+            source = []
     for k, (kind, _, kids) in enumerate(nodes):
-        if kind == "product":
-            scope[f"wP{k}"], scope[f"kP{k}"] = (tuple(scope.get(f"{f}{j}") for j in kids) for f in "wk")
+        if kind == "product" and lines:
+            scope[f"wP{k}"] = tuple(scope[f"w{j}"] for j in kids)
     return scope[f"w{len(nodes) - 1}"]
 
 
@@ -434,39 +445,38 @@ def _fmap_source(table, k, nodes, fn="w") -> list[str]:
     kind, _, kids = nodes[k]
     j = kids[0] if kids else k
 
-    def child(j, h):
-        return table[nodes[j][0]].format(h) if nodes[j][0] in ("id", "const") else f"{fn}{j}({h}, env)"
+    def child(i, h, table=table):
+        return table[nodes[i][0]].format(h) if nodes[i][0] in ("id", "const") else f"{fn}{i}({h}, env)"
 
-    def each(seq):
+    def each(seq, table=table, fn=fn):  # the values of node j in ``seq``
         leaf = nodes[j][0] in ("id", "const")
-        return f"[{child(j, 'x')} for x in {seq}]" if leaf else f"list(map({fn}{j}, {seq}, itertools.repeat(env)))"
+        return f"[{child(j, 'x', table)} for x in {seq}]" if leaf else f"list(map({fn}{j}, {seq}, itertools.repeat(env)))"
 
     body = {
         "id": lambda: child(k, "h"),
         "const": lambda: child(k, "h"),
         "sum": lambda: f"{table['inl'].format(child(j, 'h.value'))} if type(h) is InL"
         f" else {table['inr'].format(child(kids[1], 'h.value'))}",
-        "product": lambda: table["tuple"].format(f"list(map(operator.call, {fn}P{k}, h.items, itertools.repeat(env)))"),
-        "finpow": lambda: table["set"].format(each("h.items"), j=j),
+        "product": lambda: table["tuple"].format(f"[{', '.join(child(i, f'h.items[{n}]') for n, i in enumerate(kids))}]"),
+        "finpow": lambda: table["set"].format("items", keys=each("items", _KEYS, "k")),
         "exp": lambda: table["fun"].format(f"list(zip(S{k}, {each('[x for _, x in h.entries]')}))"),
         "pairneq": lambda: f"{table['star'].format()} if type(h) is Star else {fn}pair{k}("
         f"{child(j, 'h.left')}, {child(j, 'h.right')})",
     }[kind]()
+    items = [f"    items = {each('h.items')}"] if kind == "finpow" else []
     pair = [f"def {fn}pair{k}(a, b): return {table['pair'].format('a', 'b')}"] if kind == "pairneq" else []
-    return [f"def {fn}{k}(h, env=None): return {body}"] + pair
-
-
-# id(container) -> (container, {walk: root function}): hashing a container
-# recurses as deep as it is, and holding it keeps its id from being reused
-_COMPILED: dict[int, tuple] = {}
+    return [f"def {fn}{k}(h, env=None):", *items, f"    return {body}"] + pair
 
 
 def _walk(container, walk: str):
+    # kept on the container, not in a table keyed by it: hashing a container
+    # recurses as deep as it is, and its walks die with it
     try:
-        return _COMPILED[id(container)][1][walk]
-    except KeyError:
-        fn = _compile(container, walk)
-        _COMPILED.setdefault(id(container), (container, {}))[1][walk] = fn
+        return container._walks[walk]
+    except (AttributeError, KeyError):
+        walks = getattr(container, "_walks", {})
+        walks[walk] = fn = _compile(container, walk)
+        object.__setattr__(container, "_walks", walks)
         return fn
 
 
@@ -520,10 +530,20 @@ def _bad_leaf(x, tag: str, labels) -> _Mismatch:
 
 _SCOPE = dict(  # the names the generated code uses
     InL=InL, InR=InR, TupleOf=TupleOf, SetOf=SetOf, FunOf=FunOf, Star=Star, STAR=STAR, Pair=Pair,
-    StateRef=StateRef, ConstVal=ConstVal, InputError=InputError, make_pair=make_pair, set_of=set_of,
+    StateRef=StateRef, ConstVal=ConstVal, InputError=InputError, make_pair=make_pair, _canonical=_canonical,
     _Mismatch=_Mismatch, _tag_error=_tag_error, _body=_body, _bad_leaf=_bad_leaf, _intern=_intern,
     _shape_error=_shape_error, operator=operator, itertools=itertools,
 )
+
+
+def _leaf_maker(walk: str, kind: str):
+    # make(L, C) walks a leaf of labels L and container C: one source for all
+    body = "".join(f"    {line}\n" for line in _lines_source(_WALKS[walk], "", {"": (kind, None, ())}))
+    exec(f"def make(L, C):\n{body}    return w", scope := dict(_SCOPE))
+    return scope["make"]
+
+
+_LEAVES = {(walk, kind): _leaf_maker(walk, kind) for walk in ("decode", "support") for kind in ("id", "const")}
 
 
 def support(container: Container, h: HStructure) -> frozenset[str]:
