@@ -359,7 +359,6 @@ _KEYS = dict(
     fun="tuple({})", star="(7,)", pair="(8, {}, {})",
 )
 _WALKS = {"decode": _DECODE, "support": _SUPPORT, "values": _VALUES, "shapes": _SHAPES, "json": _JSON}
-_KEYED = ("decode", "support", "values")  # the walks that sort set members
 
 
 def _compile(container, walk: str):
@@ -406,7 +405,8 @@ def _compile(container, walk: str):
             scope[f"w{k}"] = _LEAVES[walk, kind](scope.get(f"L{k}"), node)
         elif not leaf or k == len(nodes) - 1:
             source += (_lines_source if lines else _fmap_source)(_WALKS[walk], k, nodes)
-        source += _fmap_source(_KEYS, k, nodes, "k") if k in keyed and not leaf and walk in _KEYED else []
+        if k in keyed and not leaf and walk not in ("shapes", "json"):
+            source += _fmap_source(_KEYS, k, nodes, "k")
         if len(source) > 2000 or k == len(nodes) - 1:  # compiling takes memory in proportion to the source
             exec("\n".join(source), scope)
             source = []
@@ -449,15 +449,18 @@ def _fmap_source(table, k, nodes, fn="w") -> list[str]:
         return table[nodes[i][0]].format(h) if nodes[i][0] in ("id", "const") else f"{fn}{i}({h}, env)"
 
     def each(seq, table=table, fn=fn):  # the values of node j in ``seq``
-        leaf = nodes[j][0] in ("id", "const")
-        return f"[{child(j, 'x', table)} for x in {seq}]" if leaf else f"list(map({fn}{j}, {seq}, itertools.repeat(env)))"
+        if nodes[j][0] in ("id", "const"):
+            return f"[{child(j, 'x', table)} for x in {seq}]"
+        return f"list(map({fn}{j}, {seq}, itertools.repeat(env)))"
 
     body = {
         "id": lambda: child(k, "h"),
         "const": lambda: child(k, "h"),
         "sum": lambda: f"{table['inl'].format(child(j, 'h.value'))} if type(h) is InL"
         f" else {table['inr'].format(child(kids[1], 'h.value'))}",
-        "product": lambda: table["tuple"].format(f"[{', '.join(child(i, f'h.items[{n}]') for n, i in enumerate(kids))}]"),
+        "product": lambda: table["tuple"].format(
+            "[" + ", ".join(child(i, f"h.items[{n}]") for n, i in enumerate(kids)) + "]"
+        ),
         "finpow": lambda: table["set"].format("items", keys=each("items", _KEYS, "k")),
         "exp": lambda: table["fun"].format(f"list(zip(S{k}, {each('[x for _, x in h.entries]')}))"),
         "pairneq": lambda: f"{table['star'].format()} if type(h) is Star else {fn}pair{k}("
