@@ -352,7 +352,7 @@ def coalgebra_to_json(coalg: FiniteCoalgebra) -> dict:
         "kind": "set-coalgebra",
         "functor": container_to_json(coalg.container),
         "states": list(coalg.states),
-        "structure": {x: structure_to_json(coalg.container, h) for x, h in coalg.structure.items()},
+        "structure": {x: structure_to_json(h) for x, h in coalg.structure.items()},
     }
 
 

@@ -12,8 +12,8 @@ duplicate-free so that structural equality is plain ``==``.
 
 from __future__ import annotations
 
-import itertools
 import operator
+from itertools import chain, repeat
 from typing import Iterable, Mapping, Union
 
 from .errors import InputError, UnknownStateError
@@ -156,37 +156,28 @@ HStructure = Union[StateRef, ConstVal, InL, InR, TupleOf, SetOf, FunOf, Star, Pa
 STAR = Star()
 _IDENTITY = Identity()
 
-_KEY_TAGS = {
-    StateRef: 0,
-    ConstVal: 1,
-    InL: 2,
-    InR: 3,
-    TupleOf: 4,
-    SetOf: 5,
-    FunOf: 6,
-    Star: 7,
-    Pair: 8,
-}
-
 
 def structure_key(h: HStructure):
-    """Total order key for structures; used to canonicalize set nodes."""
-    tag = _KEY_TAGS[type(h)]
-    if isinstance(h, StateRef):
-        return (tag, h.state)
-    if isinstance(h, ConstVal):
-        return (tag, h.label)
-    if isinstance(h, (InL, InR)):
-        return (tag, structure_key(h.value))
-    if isinstance(h, TupleOf):
-        return (tag, tuple(structure_key(x) for x in h.items))
-    if isinstance(h, SetOf):
-        return (tag, tuple(structure_key(x) for x in h.items))
-    if isinstance(h, FunOf):
-        return (tag, tuple((lbl, structure_key(v)) for lbl, v in h.entries))
-    if isinstance(h, Star):
-        return (tag,)
-    return (tag, structure_key(h.left), structure_key(h.right))
+    """Total order key for structures; the one order of set members.
+
+    A node's key is one flat tuple, its tag followed by its children's keys
+    (a function's interleaved with its labels), so building a key, as the
+    walks below, and comparing two keys take one stack frame per level."""
+    t = type(h)
+    if t is StateRef:
+        return (0, h.state)
+    if t is ConstVal:
+        return (1, h.label)
+    if t is InL or t is InR:
+        return (2 if t is InL else 3, structure_key(h.value))
+    if t is TupleOf or t is SetOf:
+        return (4 if t is TupleOf else 5, *map(structure_key, h.items))
+    if t is FunOf:
+        keys = map(structure_key, [v for _, v in h.entries])
+        return (6, *chain.from_iterable(zip([lbl for lbl, _ in h.entries], keys)))
+    if t is Star:
+        return (7,)
+    return (8, structure_key(h.left), structure_key(h.right))
 
 
 def set_of(items: Iterable[HStructure]) -> SetOf:
@@ -218,7 +209,103 @@ def make_pair(left: HStructure, right: HStructure) -> HStructure:
 
 
 # ---------------------------------------------------------------------------
-# the walks of a value along its container, compiled once per container
+# the walks that follow a value's own constructors
+#
+# No container is needed to rebuild a value that ``support`` accepts.  Each
+# walk takes one stack frame per level of the value: a child that is not a
+# leaf is walked through ``map``, which adds no frame of its own, as a
+# comprehension would.
+
+
+def hmap(container: Container, f: Mapping[str, str], h: HStructure) -> HStructure:
+    """Rename every state slot of ``h`` through ``f`` (the functor action).
+
+    ``h`` must be a value of ``container``, as :func:`support` accepts it.
+    Set nodes are re-canonicalized after renaming, and a ``PairNeq`` pair
+    whose components collide under ``f`` collapses to ``*``.
+    """
+    try:
+        return _rename(h, f)
+    except KeyError as exc:
+        raise UnknownStateError(f"map undefined on state {exc.args[0]!r}") from None
+
+
+def _rename(h, f):
+    t = type(h)
+    if t is StateRef:
+        return StateRef(f[h.state])
+    if t is SetOf:
+        return set_of(tuple(map(_rename, h.items, repeat(f))))
+    if t is TupleOf:
+        return TupleOf(tuple(map(_rename, h.items, repeat(f))))
+    if t is InL or t is InR:
+        return t(_rename(h.value, f))
+    if t is FunOf:
+        return FunOf(tuple(zip([lbl for lbl, _ in h.entries], map(_rename, [v for _, v in h.entries], repeat(f)))))
+    if t is Pair:
+        return make_pair(_rename(h.left, f), _rename(h.right, f))
+    return h  # a ConstVal or STAR
+
+
+def interpret(container: Container, h: HStructure, env: Mapping[str, object]):
+    """Replace state slots by values from ``env``, yielding a plain shape.
+
+    ``h`` must be a value of ``container``, as :func:`support` accepts it.
+    The result uses ordinary Python data: labels stay strings, sums become
+    ``("inl", x)`` / ``("inr", x)`` tags, products become tuples, sets
+    become frozensets, functions become sorted (label, value) tuples, and
+    ``PairNeq`` values become ``STAR`` or ``("pair", a, b)`` with the
+    diagonal normalized to ``STAR``.  Algebra evaluation consumes these
+    shapes.
+    """
+    try:
+        return _shape(h, env)
+    except KeyError as exc:
+        raise UnknownStateError(f"no value for state {exc.args[0]!r}") from None
+
+
+def _shape(h, env):
+    t = type(h)
+    if t is SetOf:
+        if h.items and type(h.items[0]) is StateRef:  # then every member is one
+            return frozenset([env[x.state] for x in h.items])
+        return frozenset(map(_shape, h.items, repeat(env)))
+    if t is StateRef:
+        return env[h.state]
+    if t is TupleOf:
+        return tuple(map(_shape, h.items, repeat(env)))
+    if t is InL or t is InR:
+        return ("inl" if t is InL else "inr", _shape(h.value, env))
+    if t is ConstVal:
+        return h.label
+    if t is FunOf:
+        return tuple(zip([lbl for lbl, _ in h.entries], map(_shape, [v for _, v in h.entries], repeat(env))))
+    if t is Pair:
+        a, b = _shape(h.left, env), _shape(h.right, env)
+        return STAR if a == b else ("pair", a, b)
+    return STAR
+
+
+def structure_to_json(h: HStructure):
+    t = type(h)
+    if t is StateRef:
+        return {"state": h.state}
+    if t is SetOf or t is TupleOf:
+        return {"set" if t is SetOf else "tuple": list(map(structure_to_json, h.items))}
+    if t is InL or t is InR:
+        return {"inl" if t is InL else "inr": structure_to_json(h.value)}
+    if t is ConstVal:
+        return {"const": h.label}
+    if t is FunOf:
+        return {"fun": dict(zip([lbl for lbl, _ in h.entries], map(structure_to_json, [v for _, v in h.entries])))}
+    if t is Pair:
+        return {"pair": [structure_to_json(h.left), structure_to_json(h.right)]}
+    return {"star": None}
+
+
+# ---------------------------------------------------------------------------
+# the two walks that check a value against its container, compiled once per
+# container
 #
 # Each walk is Python source generated for one container, as records.py
 # generates methods: a function ``w<k>`` per distinct sub-container k runs
@@ -336,29 +423,7 @@ _SUPPORT = dict(
     elif type(h) is not Star: raise _shape_error(C{k}, h)""",
 )
 
-# the functor action: w<k>(h, env) rebuilds ``h``, a value that ``support``
-# accepts, bottom-up through one table of constructors, checking nothing.
-# The sort key k<k>(v), into _KEYS, orders the values of node k as
-# ``structure_key`` does, leaving out the tags they all share; a set's
-# members are ``items`` and their keys ``{keys}``.
-_VALUES = dict(
-    id="StateRef(env[{}.state])", const="{}", inl="InL({})", inr="InR({})", tuple="TupleOf(tuple({}))",
-    set="_canonical(dict(zip({keys}, {})))", fun="FunOf(tuple({}))", star="STAR", pair="make_pair({}, {})",
-)
-_SHAPES = dict(
-    id="env[{}.state]", const="{}.label", inl='("inl", {})', inr='("inr", {})', tuple="tuple({})",
-    set="frozenset({})", fun="tuple({})", star="STAR", pair='STAR if {0} == {1} else ("pair", {0}, {1})',
-)
-_JSON = dict(
-    id='{{"state": {}.state}}', const='{{"const": {}.label}}', inl='{{"inl": {}}}', inr='{{"inr": {}}}',
-    tuple='{{"tuple": {}}}', set='{{"set": {}}}', fun='{{"fun": dict({})}}', star='{{"star": None}}',
-    pair='{{"pair": [{}, {}]}}',
-)
-_KEYS = dict(
-    id="{}.state", const="{}.label", inl="(2, {})", inr="(3, {})", tuple="tuple({})", set="tuple({})",
-    fun="tuple({})", star="(7,)", pair="(8, {}, {})",
-)
-_WALKS = {"decode": _DECODE, "support": _SUPPORT, "values": _VALUES, "shapes": _SHAPES, "json": _JSON}
+_WALKS = {"decode": _DECODE, "support": _SUPPORT}
 
 
 def _compile(container, walk: str):
@@ -388,11 +453,7 @@ def _compile(container, walk: str):
             at[id(c)] = shared.setdefault(key, len(nodes))
             if at[id(c)] == len(nodes):
                 nodes.append((kind, c, key[2]))
-    keyed = set()  # the set members and their parts, which need sort keys
-    for k in reversed(range(len(nodes))):
-        if nodes[k][0] == "finpow" or k in keyed:
-            keyed.update(nodes[k][2])
-    scope, source, lines = dict(_SCOPE), [], walk in ("decode", "support")
+    scope, source = dict(_SCOPE), []
     for k, (kind, node, kids) in enumerate(nodes):
         scope[f"C{k}"] = node
         if kind == "const":
@@ -400,24 +461,21 @@ def _compile(container, walk: str):
         elif kind == "exp":
             scope[f"X{k}"], scope[f"S{k}"] = set(node.exponent), sorted(node.exponent)
             scope[f"E{k}"] = f"expected an object with labels {sorted(node.exponent)}"
-        leaf = kind in ("id", "const")  # inlined into its parents, or a closure in a product's loop
-        if lines and leaf:
+        if kind in ("id", "const"):  # inlined into its parents, or a closure in a product's loop
             scope[f"w{k}"] = _LEAVES[walk, kind](scope.get(f"L{k}"), node)
-        elif not leaf or k == len(nodes) - 1:
-            source += (_lines_source if lines else _fmap_source)(_WALKS[walk], k, nodes)
-        if k in keyed and not leaf and walk not in ("shapes", "json"):
-            source += _fmap_source(_KEYS, k, nodes, "k")
+        else:
+            source += _lines_source(_WALKS[walk], k, nodes)
         if len(source) > 2000 or k == len(nodes) - 1:  # compiling takes memory in proportion to the source
             exec("\n".join(source), scope)
             source = []
     for k, (kind, _, kids) in enumerate(nodes):
-        if kind == "product" and lines:
+        if kind == "product":
             scope[f"wP{k}"] = tuple(scope[f"w{j}"] for j in kids)
     return scope[f"w{len(nodes) - 1}"]
 
 
 def _lines_source(table, k, nodes) -> list[str]:
-    # the source of w<k> in a walk of statements: decode or support
+    # the source of w<k> in ``table``'s walk
     kind, _, kids = nodes[k]
     j = kids[0] if kids else k
 
@@ -430,45 +488,14 @@ def _lines_source(table, k, nodes) -> list[str]:
         return [line.format(j=i) for line in table[leaf] + ref]
 
     children = {"child": child(j), "right": child(kids[-1] if kids else k)}
-    key = table["key"].get(nodes[j][0], f"k{j}(v)")
+    # a set's members sort by structure_key; a state or label sorts as its name does
+    key = table["key"].get(nodes[j][0], "structure_key(v)")
     fields = dict(k=k, j=j, n=len(kids), key=key, refs="refs.update(items)" if key == "s" else "pass")
     out = []
     for line in table["leaf" if kind in ("id", "const") else kind].split("\n"):
         name = line.strip()[1:-1]
         out += [line[: line.index("{")] + c for c in children[name]] if name in children else [line.format(**fields)]
     return out
-
-
-def _fmap_source(table, k, nodes, fn="w") -> list[str]:
-    # the source of <fn><k> in a functor action; ``map`` calls a child that is
-    # not a leaf with no frame of its own, as a comprehension would add
-    kind, _, kids = nodes[k]
-    j = kids[0] if kids else k
-
-    def child(i, h, table=table):
-        return table[nodes[i][0]].format(h) if nodes[i][0] in ("id", "const") else f"{fn}{i}({h}, env)"
-
-    def each(seq, table=table, fn=fn):  # the values of node j in ``seq``
-        if nodes[j][0] in ("id", "const"):
-            return f"[{child(j, 'x', table)} for x in {seq}]"
-        return f"list(map({fn}{j}, {seq}, itertools.repeat(env)))"
-
-    body = {
-        "id": lambda: child(k, "h"),
-        "const": lambda: child(k, "h"),
-        "sum": lambda: f"{table['inl'].format(child(j, 'h.value'))} if type(h) is InL"
-        f" else {table['inr'].format(child(kids[1], 'h.value'))}",
-        "product": lambda: table["tuple"].format(
-            "[" + ", ".join(child(i, f"h.items[{n}]") for n, i in enumerate(kids)) + "]"
-        ),
-        "finpow": lambda: table["set"].format("items", keys=each("items", _KEYS, "k")),
-        "exp": lambda: table["fun"].format(f"list(zip(S{k}, {each('[x for _, x in h.entries]')}))"),
-        "pairneq": lambda: f"{table['star'].format()} if type(h) is Star else {fn}pair{k}("
-        f"{child(j, 'h.left')}, {child(j, 'h.right')})",
-    }[kind]()
-    items = [f"    items = {each('h.items')}"] if kind == "finpow" else []
-    pair = [f"def {fn}pair{k}(a, b): return {table['pair'].format('a', 'b')}"] if kind == "pairneq" else []
-    return [f"def {fn}{k}(h, env=None):", *items, f"    return {body}"] + pair
 
 
 def _walk(container, walk: str):
@@ -533,9 +560,9 @@ def _bad_leaf(x, tag: str, labels) -> _Mismatch:
 
 _SCOPE = dict(  # the names the generated code uses
     InL=InL, InR=InR, TupleOf=TupleOf, SetOf=SetOf, FunOf=FunOf, Star=Star, STAR=STAR, Pair=Pair,
-    StateRef=StateRef, ConstVal=ConstVal, InputError=InputError, make_pair=make_pair, _canonical=_canonical,
+    StateRef=StateRef, ConstVal=ConstVal, InputError=InputError, _canonical=_canonical,
     _Mismatch=_Mismatch, _tag_error=_tag_error, _body=_body, _bad_leaf=_bad_leaf, _intern=_intern,
-    _shape_error=_shape_error, operator=operator, itertools=itertools,
+    _shape_error=_shape_error, structure_key=structure_key, operator=operator,
 )
 
 
@@ -565,40 +592,6 @@ def support(container: Container, h: HStructure) -> frozenset[str]:
     out: set[str] = set()
     _walk(container, "support")(h, out)
     return frozenset(out)
-
-
-def hmap(container: Container, f: Mapping[str, str], h: HStructure) -> HStructure:
-    """Rename every state slot of ``h`` through ``f`` (the functor action).
-
-    ``h`` must be a value of ``container``, as :func:`support` accepts it.
-    Set nodes are re-canonicalized after renaming, and a ``PairNeq`` pair
-    whose components collide under ``f`` collapses to ``*``.
-    """
-    try:
-        return _walk(container, "values")(h, f)
-    except KeyError as exc:
-        raise UnknownStateError(f"map undefined on state {exc.args[0]!r}") from None
-
-
-def interpret(container: Container, h: HStructure, env: Mapping[str, object]):
-    """Replace state slots by values from ``env``, yielding a plain shape.
-
-    ``h`` must be a value of ``container``, as :func:`support` accepts it.
-    The result uses ordinary Python data: labels stay strings, sums become
-    ``("inl", x)`` / ``("inr", x)`` tags, products become tuples, sets
-    become frozensets, functions become sorted (label, value) tuples, and
-    ``PairNeq`` values become ``STAR`` or ``("pair", a, b)`` with the
-    diagonal normalized to ``STAR``.  Algebra evaluation consumes these
-    shapes.
-    """
-    try:
-        return _walk(container, "shapes")(h, env)
-    except KeyError as exc:
-        raise UnknownStateError(f"no value for state {exc.args[0]!r}") from None
-
-
-def structure_to_json(container: Container, h: HStructure):
-    return _walk(container, "json")(h)
 
 
 def structure_decoder(container: Container, carrier):
@@ -640,7 +633,7 @@ def container_to_json(container: Container):
     if isinstance(container, Sum):
         return {"sum": [container_to_json(container.left), container_to_json(container.right)]}
     if isinstance(container, Product):
-        return {"product": [container_to_json(c) for c in container.parts]}
+        return {"product": list(map(container_to_json, container.parts))}
     if isinstance(container, FinPow):
         return {"finpow": container_to_json(container.inner)}
     if isinstance(container, Exp):

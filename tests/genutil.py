@@ -465,7 +465,28 @@ def enumerate_structures(container, states):
 
 # ---------------------------------------------------------------------------
 # the generic walks of a value along its container: the reference oracles of
-# the walks that coalg.containers compiles per container
+# the walks of coalg.containers, compiled per container or following the
+# value's own constructors
+
+
+def reference_structure_key(h):
+    """A key of nested tuples whose order ``structure_key``, one flat tuple
+    per node, keeps: a node's tag, then its children's keys as one tuple."""
+    tags = [StateRef, ConstVal, InL, InR, TupleOf, SetOf, FunOf, Star, Pair]
+    tag = tags.index(type(h))
+    if isinstance(h, StateRef):
+        return (tag, h.state)
+    if isinstance(h, ConstVal):
+        return (tag, h.label)
+    if isinstance(h, (InL, InR)):
+        return (tag, reference_structure_key(h.value))
+    if isinstance(h, (TupleOf, SetOf)):
+        return (tag, tuple(reference_structure_key(x) for x in h.items))
+    if isinstance(h, FunOf):
+        return (tag, tuple((lbl, reference_structure_key(v)) for lbl, v in h.entries))
+    if isinstance(h, Star):
+        return (tag,)
+    return (tag, reference_structure_key(h.left), reference_structure_key(h.right))
 
 
 def reference_support(container, h):

@@ -1,4 +1,5 @@
 import builtins
+import itertools
 import json
 import operator
 import sys
@@ -31,6 +32,7 @@ from coalg.containers import (
     make_pair,
     set_of,
     structure_decoder,
+    structure_key,
     structure_from_json,
     structure_to_json,
     support,
@@ -49,6 +51,7 @@ from genutil import (
     reference_decoder,
     reference_hmap,
     reference_interpret,
+    reference_structure_key,
     reference_structure_to_json,
     reference_support,
     rng_for,
@@ -237,8 +240,8 @@ class TestEnumerate:
 class TestJson:
     def test_documented_forms(self):
         assert container_to_json(FinPow(Identity())) == {"finpow": {"id": None}}
-        assert structure_to_json(GRAPH, ref_set("a")) == {"set": [{"state": "a"}]}
-        assert structure_to_json(PairNeq(), STAR) == {"star": None}
+        assert structure_to_json(ref_set("a")) == {"set": [{"state": "a"}]}
+        assert structure_to_json(STAR) == {"star": None}
 
     def test_round_trip_randomized(self):
         rng = rng_for(404)
@@ -247,7 +250,7 @@ class TestJson:
             c = coalg.container
             assert container_from_json(container_to_json(c)) == c
             for h in coalg.structure.values():
-                doc = structure_to_json(c, h)
+                doc = structure_to_json(h)
                 json.dumps(doc)  # must be serializable
                 assert structure_from_json(doc) == h
 
@@ -307,7 +310,7 @@ class TestStructureDecoder:
             coalg = make(rng, 6, depth=3)
             carrier = set(coalg.states)
             for h in coalg.structure.values():
-                doc = structure_to_json(coalg.container, h)
+                doc = structure_to_json(h)
                 self.check_against_reference(coalg.container, carrier, doc)
                 self.check_against_reference(coalg.container, carrier, scrambled(doc))
 
@@ -382,6 +385,16 @@ class TestConstructors:
         s = set_of([StateRef("b"), StateRef("a"), StateRef("b")])
         assert s == ref_set("a", "b")
 
+    def test_structure_key_orders_as_the_nested_key(self):
+        rng = rng_for(1313)
+        values = []
+        for _ in range(100):
+            container = random_container(rng, depth=rng.choice([2, 3, 4]))
+            values += [random_structure(rng, container, ["a", "b", "c"]) for _ in range(3)]
+        keys = [(structure_key(h), reference_structure_key(h), h) for h in values]
+        for (k, r, g), (k2, r2, h) in itertools.product(keys, repeat=2):
+            assert (k < k2, k == k2) == (r < r2, r == r2) and (k == k2) == (g == h)
+
 
 def outcome(f, *args):
     """``f(*args)``, or the type and text of the error it raises."""
@@ -392,8 +405,9 @@ def outcome(f, *args):
 
 
 class TestCompiledWalks:
-    """The walks compiled per container against the generic walks they
-    replaced, kept in genutil as oracles."""
+    """The walks compiled per container, and those that follow a value's
+    own constructors, against the generic walks along the container, kept
+    in genutil as oracles."""
 
     def test_walks_match_the_reference_oracles(self):
         rng = rng_for(1414)
@@ -404,7 +418,7 @@ class TestCompiledWalks:
             for _ in range(3):
                 h = random_structure(rng, container, states)
                 assert support(container, h) == reference_support(container, h)
-                doc = structure_to_json(container, h)
+                doc = structure_to_json(h)
                 assert doc == reference_structure_to_json(container, h)
                 assert decode_one(container, set(states), doc) == reference(doc) == (h, support(container, h))
                 assert decode_one(container, set(states), scrambled(doc)) == reference(scrambled(doc))
@@ -419,7 +433,7 @@ class TestCompiledWalks:
         for _ in range(300):
             container = random_container(rng, depth=rng.choice([3, 4]))
             states = [f"s{i}" for i in range(rng.randint(1, 4))]
-            doc = structure_to_json(container, random_structure(rng, container, states))
+            doc = structure_to_json(random_structure(rng, container, states))
             for _ in range(3):
                 bad = malformed(rng, doc, states)
                 got = outcome(decode_one, container, set(states), bad, "$.structure.x")
@@ -448,7 +462,7 @@ class TestCompiledWalks:
         g = TupleOf(tuple(set_of([InL(StateRef("a")), InR(ConstVal(f"l{i}"))]) for i in range(400)))
         for container, value, states in ((leaves, h, set()), (sets, g, {"a"})):
             assert support(container, value) == states
-            doc = structure_to_json(container, value)
+            doc = structure_to_json(value)
             assert doc == reference_structure_to_json(container, value)
             assert decode_one(container, {"a"}, doc) == (value, states)
             assert hmap(container, {"a": "b"}, value) == reference_hmap(container, {"a": "b"}, value)
@@ -461,7 +475,7 @@ class TestCompiledWalks:
         h = TupleOf((StateRef("a"), ConstVal("u"), ref_set("a", "b"), TupleOf((StateRef("b"), STAR))))
         f, env = {"a": "b", "b": "b"}, {"a": 1, "b": 2}
         assert support(container, h) == {"a", "b"}
-        assert decode_one(container, {"a", "b"}, structure_to_json(container, h)) == (h, {"a", "b"})
+        assert decode_one(container, {"a", "b"}, structure_to_json(h)) == (h, {"a", "b"})
         assert hmap(container, f, h) == reference_hmap(container, f, h)
         assert interpret(container, h, env) == reference_interpret(container, h, env)
 
@@ -482,11 +496,11 @@ class TestCompiledWalks:
         assert len(compiled) == 1  # the decoder, for 1000 states
         solve_recursion(system, count_algebra(system.container))
         solve_recursion(system, unfold_algebra(system.container))
-        assert len(compiled) == 2  # and interpret, for 2000 values
+        assert len(compiled) == 1  # interpret follows the values, for 2000 of them
         for h in system.structure.values():
             support(system.container, h)
-            structure_to_json(system.container, h)
-        assert len(compiled) == 4
+            structure_to_json(h)
+        assert len(compiled) == 2  # and support; structure_to_json compiles nothing
 
 
 def nested_finpow(levels):
@@ -528,11 +542,71 @@ def test_containers_as_deep_as_json_allows(levels):
         for depth in (1, min(levels, 490)):
             h = nested_set(depth)
             assert support(container, h) == frozenset()
-            doc = structure_to_json(container, h)
+            doc = structure_to_json(h)
             assert chain(doc, dict, lambda d: d["set"][0] if d["set"] else None) == depth
             decoded, refs = decode_one(container, {"a"}, doc)
             assert (levels_of(decoded), refs) == (depth, frozenset())
             assert levels_of(hmap(container, {}, h)) == depth
             assert chain(interpret(container, h, {}), frozenset, lambda f: next(iter(f), None)) == depth
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def json_depth(doc):
+    """The nesting of objects and arrays in ``doc``, counted without recursion."""
+    depth, level = 0, [doc]
+    while level := [x for x in level if isinstance(x, (dict, list))]:
+        depth += 1
+        level = [v for x in level for v in (x.values() if isinstance(x, dict) else x)]
+    return depth
+
+
+def every_kind(kinds, levels, bottom, state):
+    """A container ``levels`` deep over ``finpow(pairneq)``, and its value with
+    ``bottom`` in the set slot and ``state`` in every product: its nodes are
+    the ``kinds`` in turn, left sums (``l``), right sums (``r``), products
+    (``t``) and exponents (``f``), the last one on top."""
+    c, h = FinPow(PairNeq()), bottom
+    for i in range(levels):
+        kind = kinds[i % len(kinds)]
+        if kind == "l":
+            c, h = Sum(c, Const(("u",))), InL(h)
+        elif kind == "r":
+            c, h = Sum(Const(("u",)), c), InR(h)
+        elif kind == "t":
+            c, h = Product((Identity(), c)), TupleOf((StateRef(state), h))
+        else:
+            c, h = Exp(c, ("x",)), fun_of({"x": h})
+    return c, h
+
+
+@pytest.mark.parametrize("kinds", ["lr", "t", "f", "ltrf"])
+def test_values_of_every_node_kind_as_deep_as_json_allows(kinds):
+    """Sums, products and exponents as deep as a JSON file can spell their
+    container (two JSON levels each), over sets of pairs: every walk of a
+    set of two such members runs under the default recursion limit, so each
+    takes one frame per level of the value, and agrees with the oracles."""
+    a, b = StateRef("a"), StateRef("b")
+    container, h1 = every_kind(kinds, 490, set_of([make_pair(a, b), STAR]), "a")
+    _, h2 = every_kind(kinds, 490, set_of([make_pair(b, a)]), "b")
+    container = FinPow(container)
+    assert 980 < json_depth(container_to_json(container)) < 990
+    swap, squash, env = {"a": "b", "b": "a"}, {"a": "a", "b": "a"}, {"a": 1, "b": 2}
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        h = set_of([h2, h1])
+        states = support(container, h)
+        doc = structure_to_json(h)
+        decoded = decode_one(container, {"a", "b"}, doc)
+        swapped, squashed = hmap(container, swap, h), hmap(container, squash, h)
+        shape = interpret(container, h, env)
+        sys.setrecursionlimit(10_000)  # ``==`` and the oracles take more frames per level
+        assert h.items == (h1, h2) and states == {"a", "b"}
+        assert doc == reference_structure_to_json(container, h) and json_depth(doc) < 990
+        assert decoded == (h, states)
+        assert swapped == reference_hmap(container, swap, h) and len(swapped.items) == 2
+        assert squashed == reference_hmap(container, squash, h) and len(squashed.items) == 1
+        assert shape == reference_interpret(container, h, env)
     finally:
         sys.setrecursionlimit(limit)

@@ -2,12 +2,18 @@
 in ``tests/genutil.py``, not in the package."""
 
 import ast
+import builtins
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import coalg
+import coalg.containers
+import coalg.records
+from coalg.containers import Const, Exp, FinPow, Identity, PairNeq, Product, Sum, structure_decoder, support
+from coalg.errors import InputError
+from coalg.records import record
 
 PUBLIC_NAMES = [
     # containers
@@ -85,11 +91,12 @@ def test_no_package_function_runs_only_under_tests():
 
 
 # the top-level functions that walk along a container, one per job; a new
-# walk of a value is generated by ``containers._compile``, and any other
-# joins this set with its reason
+# walk that checks a value against its container is generated by
+# ``containers._compile``, and any other joins this set with its reason
 CONTAINER_WALKS = {
-    # compiles every walk of a value: support, the functor action behind
-    # hmap, interpret and structure_to_json, the sort keys, and the decoder
+    # compiles the two walks that check a value against its container, the
+    # decoder and support; hmap, interpret, structure_to_json and the set
+    # order follow the value's own constructors, with no container
     "_compile",
     "container_to_json",  # walks the container alone, with no value
     # walks interpret's shapes, not values; the benchmark's tracer wraps it by name
@@ -114,3 +121,35 @@ def test_one_container_walk_per_job():
         if isinstance(node, ast.FunctionDef) and dispatches_on_identity(node)
     }
     assert walks == CONTAINER_WALKS
+
+
+def test_sources_parse_as_python_3_10(monkeypatch):
+    """pyproject.toml promises Python 3.10: every module of the package, and
+    every source it generates and runs, parses with 3.10's grammar."""
+    package = Path(coalg.__file__).resolve().parent
+    sources = [f.read_text(encoding="utf-8") for f in sorted(package.glob("*.py"))]
+    generated = []
+
+    def capturing_exec(source, scope):
+        generated.append(source)
+        return builtins.exec(source, scope)
+
+    for module in (coalg.containers, coalg.records):
+        monkeypatch.setattr(module, "exec", capturing_exec, raising=False)
+    for frozen in (True, False):
+        @record(frozen=frozen)
+        class Point:
+            x: int
+            y: int
+
+            def __post_init__(self):
+                pass
+
+    # every node kind, with Identity and Const children inlined into a parent
+    container = Product((Identity(), Const(("u",)), Sum(FinPow(PairNeq()), Exp(Const(("v",)), ("x",)))))
+    structure_decoder(container, ())
+    with pytest.raises(InputError):
+        support(container, None)
+    assert len(generated) == 4  # two records and two walks
+    for source in sources + generated:
+        ast.parse(source, feature_version=(3, 10))
