@@ -28,13 +28,7 @@ from .coalgebras import (
 )
 from .containers import Const, Exp, FinPow, Identity, Product, Star, Sum
 from .convex import convex_from_json, convex_wf_fixpoint
-from .errors import (
-    AnalysisError,
-    CycleError,
-    FoundInfinitePathEvidence,
-    InputError,
-    NotWellFoundedError,
-)
+from .errors import AnalysisError, InputError, NotWellFoundedError
 from .initial_algebra import (
     Term,
     parse_term,
@@ -166,36 +160,18 @@ def _check_wf_lines(doc: dict):
 
 def cmd_koenig(path: str, config: argparse.Namespace) -> int:
     kind, obj = load_input(path)
+    code = EXIT_OK
     if kind == "set-coalgebra":
         result = koenig_extract(obj, config.state, config.budget)
         if isinstance(result, BudgetExhausted):
-            doc = {
-                "budgetExhausted": True,
-                "budget": result.budget,
-                "visited": len(result.visited),
-            }
-            _emit(
-                doc,
-                config,
-                [
-                    f"budget exhausted after visiting {len(result.visited)} states (budget {result.budget}); "
-                    "the closure was not confirmed finite"
-                ],
-            )
-            return EXIT_BUDGET
-        doc = {"state": config.state, "subcoalgebra": sorted(result), "size": len(result)}
-        _emit(
-            doc,
-            config,
-            [f"state {config.state} lies in the finite well-founded subsystem {sorted(result)}"],
-        )
-        return EXIT_OK
-    if kind == "nlts":
+            doc = {"budgetExhausted": True, "budget": result.budget, "visited": len(result.visited)}
+            code = EXIT_BUDGET
+        else:
+            doc = {"state": config.state, "subcoalgebra": sorted(result), "size": len(result)}
+    elif kind == "nlts":
         labels = nominal_koenig_extract(obj, state_from_text(config.state))
         doc = {"state": config.state, "labels": sorted(labels)}
-        _emit(doc, config, [f"orbit-finite subsystem labels: {sorted(labels)}"])
-        return EXIT_OK
-    if kind == "convex":
+    elif kind == "convex":
         report = convex_wf_fixpoint(obj)
         if not report.is_well_founded:
             raise NotWellFoundedError(
@@ -206,13 +182,25 @@ def cmd_koenig(path: str, config: argparse.Namespace) -> int:
             "witnessCarrier": "all-generators",
             "ranks": report.to_json()["ranks"],
         }
-        _emit(
-            doc,
-            config,
-            ["the full finitely generated carrier is itself the witness subsystem"],
+    else:
+        raise InputError(f"koenig does not apply to kind {kind!r}")
+    _emit(doc, config, _koenig_lines(doc))
+    return code
+
+
+def _koenig_lines(doc: dict):
+    # a generator, as _check_wf_lines: the closure line is only built in text mode
+    if "budgetExhausted" in doc:
+        yield (
+            f"budget exhausted after visiting {doc['visited']} states (budget {doc['budget']}); "
+            "the closure was not confirmed finite"
         )
-        return EXIT_OK
-    raise InputError(f"koenig does not apply to kind {kind!r}")
+    elif "subcoalgebra" in doc:
+        yield f"state {doc['state']} lies in the finite well-founded subsystem {doc['subcoalgebra']}"
+    elif "labels" in doc:
+        yield f"orbit-finite subsystem labels: {doc['labels']}"
+    else:
+        yield "the full finitely generated carrier is itself the witness subsystem"
 
 
 def _shape_to_jsonable(container, shape):
@@ -487,7 +475,7 @@ def _run(argv) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (FoundInfinitePathEvidence, NotWellFoundedError, CycleError) as exc:
+    except NotWellFoundedError as exc:
         print(f"not well-founded: {exc}", file=sys.stderr)
         return EXIT_NOT_WF
     except AnalysisError as exc:

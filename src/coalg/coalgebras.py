@@ -9,7 +9,7 @@ budget-guarded by the caller.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .containers import (
     Container,
@@ -38,31 +38,14 @@ class FiniteCoalgebra:
 
     def __init__(self, container: Container, states: Iterable[str], structure: Mapping[str, HStructure]):
         states = tuple(states)
-        if len(set(states)) != len(states):
-            raise InputError("duplicate state ids in carrier")
-        carrier = set(states)
         structure = dict(structure)
-        if set(structure) != carrier:
-            missing = carrier - set(structure)
-            extra = set(structure) - carrier
-            raise InputError(
-                f"structure must be total on the carrier (missing {sorted(missing)}, extra {sorted(extra)})"
-            )
-        succ = {}
-        for x, h in structure.items():
-            try:
-                refs = support(container, h)
-            except InputError:
-                raise InputError(f"structure of state {x!r} is not a value of the container") from None
-            if not refs <= carrier:
-                raise InputError(
-                    f"structure of state {x!r} references unknown states {sorted(refs - carrier)}"
-                )
-            succ[x] = refs
+        carrier = _check_carrier(states, structure)
         self.container = container
         self.states = states
         self.structure = structure
-        self._succ = succ
+        self._succ = {
+            x: _successor_set(container, h, carrier, "structure of state", x) for x, h in structure.items()
+        }
 
     @classmethod
     def _trusted(cls, container, states, structure, succ):
@@ -117,6 +100,37 @@ class FiniteCoalgebra:
 
     def __repr__(self):
         return f"FiniteCoalgebra({len(self.states)} states over {self.container!r})"
+
+
+def _check_carrier(states: Sequence[str], structure: Mapping, states_at: str = "", structure_at: str = "") -> set:
+    """The carrier of a system: its state ids, checked distinct and with
+    ``structure`` total on them.  An error begins with ``states_at`` or
+    ``structure_at``, the place that the caller names."""
+    carrier = set(states)
+    if len(carrier) != len(states):
+        raise InputError(f"{states_at}duplicate state ids in carrier")
+    if structure.keys() != carrier:
+        missing = sorted(carrier - structure.keys())
+        extra = sorted(structure.keys() - carrier)
+        raise InputError(
+            f"{structure_at}structure must be total on the carrier (missing {missing}, extra {extra})"
+        )
+    return carrier
+
+
+def _successor_set(container: Container, h: HStructure, allowed, subject: str, x: str) -> frozenset[str]:
+    """The states of ``h``, checked to be a value of ``container`` whose
+    states lie in ``allowed`` (a set or a dict's keys).  An error names
+    ``h`` as the ``subject`` of state ``x``."""
+    try:
+        refs = support(container, h)
+    except InputError:
+        raise InputError(f"{subject} {x!r} is not a value of the container") from None
+    if not refs <= allowed:
+        raise DanglingRefError(
+            f"{subject} {x!r} references states outside the allowed set {sorted(refs.difference(allowed))}"
+        )
+    return refs
 
 
 class LazyCoalgebra:
@@ -250,17 +264,8 @@ def coproduct_extension(
     structure = dict(coalg.structure)
     succ = dict(coalg.successor_map)
     for x in new_states:
-        h = p[x]
-        try:
-            refs = support(coalg.container, h)
-        except InputError:
-            raise InputError(f"extension structure of {x!r} is not a value of the container") from None
-        if not refs <= old:
-            raise DanglingRefError(
-                f"extension structure of {x!r} references non-old states {sorted(refs - old)}"
-            )
-        structure[x] = h
-        succ[x] = refs
+        structure[x] = p[x]
+        succ[x] = _successor_set(coalg.container, p[x], old, "extension structure of", x)
     return FiniteCoalgebra._trusted(
         coalg.container, coalg.states + new_states, structure, succ
     )
@@ -377,14 +382,6 @@ def coalgebra_from_json(doc) -> FiniteCoalgebra:
     raw = doc["structure"]
     if not isinstance(raw, dict):
         raise InputError("$.structure: expected an object")
-    carrier = set(states)
-    if len(carrier) != len(states):
-        raise InputError("$.states: duplicate state ids in carrier")
-    if raw.keys() != carrier:
-        missing = sorted(carrier - raw.keys())
-        extra = sorted(raw.keys() - carrier)
-        raise InputError(
-            f"$.structure: structure must be total on the carrier (missing {missing}, extra {extra})"
-        )
+    carrier = _check_carrier(states, raw, "$.states: ", "$.structure: ")
     structure, succ = structure_decoder(container, carrier)(raw, "$.structure.")
     return FiniteCoalgebra._trusted(container, states, structure, succ)

@@ -321,27 +321,27 @@ class WitnessPath:
 def convex_path_witness(spec: ConvexSpec, g: int, length: int) -> Optional[WitnessPath]:
     """A verified ``length``-step path from generator g, or None if g is WF.
 
-    Construction: at each point, pick for every support generator the first
-    successor vertex whose support consists of non-WF generators only (one
-    exists, by the fixpoint rule), and mix the picks with the point's
-    coefficients.  Every step is certified and re-checked exactly.
+    Construction: pick once for every non-WF generator the first successor
+    vertex whose support consists of non-WF generators only (one exists, by
+    the fixpoint rule); at each point, mix the picks of its support
+    generators with the point's coefficients.  Every step is certified and
+    re-checked exactly.
     """
     report = convex_wf_fixpoint(spec)
     if report.wf_generators[g]:
         return None
     bad = report.non_wf
+    choice: dict[int, int] = {}
+    for i in bad:
+        for k, v in enumerate(spec.polytopes[i].vertices):
+            if v.support <= bad:
+                choice[i] = k
+                break
+        else:  # cannot happen for non-WF generators
+            raise InputError(f"generator {i} has no all-non-WF successor vertex")
     current = unit(g, spec.generators)
     steps = []
     for _ in range(length):
-        choice: dict[int, int] = {}
-        for i in sorted(current.support):
-            poly = spec.polytopes[i]
-            for k, v in enumerate(poly.vertices):
-                if v.support <= bad:
-                    choice[i] = k
-                    break
-            else:  # cannot happen for non-WF generators
-                raise InputError(f"generator {i} has no all-non-WF successor vertex")
         cert = vertex_choice_certificate(spec, current, choice)
         nxt = cert.combine(spec, current)
         if not certify_membership(spec, current, cert, nxt):

@@ -1,5 +1,9 @@
 """Exception types shared across the analysis modules, and the header check
-of the JSON input documents."""
+of the JSON input documents.
+
+The command line maps two families to exit codes: a
+:class:`NotWellFoundedError` to 1, and any other :class:`AnalysisError`
+to 3.  A new verdict error joins one of them."""
 
 
 class AnalysisError(Exception):
@@ -22,15 +26,15 @@ class NameClashError(AnalysisError):
     """New state names collide with an existing carrier."""
 
 
-class DanglingRefError(AnalysisError):
-    """An extension structure references a state outside the old carrier."""
+class DanglingRefError(InputError):
+    """A structure references a state outside the states it may reference."""
 
 
 class NotWellFoundedError(AnalysisError):
     """An operation requiring a well-founded system was given one that is not."""
 
 
-class CycleError(AnalysisError):
+class CycleError(NotWellFoundedError):
     """The recursion solver hit a state lying on a transition cycle.
 
     This does not prove the system has no recursion solution; it only means
@@ -48,7 +52,7 @@ class ZeroStateError(AnalysisError):
     """State 0 was queried on the integer-ladder system (0 is not a state)."""
 
 
-class UnknownLabelError(AnalysisError):
+class UnknownLabelError(InputError):
     """A control label is not declared by the transition-system spec."""
 
 
@@ -56,7 +60,7 @@ class VerificationFailedError(AnalysisError):
     """An internal re-check of a computed result failed (indicates a bug)."""
 
 
-class FoundInfinitePathEvidence(AnalysisError):
+class FoundInfinitePathEvidence(NotWellFoundedError):
     """Closure extraction found proof that the input is not well-founded.
 
     The extracted finite restriction contains a reachable cycle, so the

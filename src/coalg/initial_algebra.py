@@ -368,12 +368,17 @@ def realize_hstructure(
     printed form, with the term's top node as structure: the argument
     subterms in name order, then the fresh top state.  The result is
     finite and well-founded, and the top state unfolds back to
-    ``op(args...)``.
+    ``op(args...)``.  Two distinct subterms that print alike (symbol names
+    may hold brackets and commas) are refused with an :class:`InputError`.
     """
     if sig.arity(op) != len(args):
         raise InputError(f"{op!r} takes {sig.arity(op)} arguments, got {len(args)}")
     terms = subterms(Term(op, args))
     name = {t: str(t) for t in terms}
+    if len(set(name.values())) < len(name):
+        printed = sorted(name.values())
+        shared = next(a for a, b in zip(printed, printed[1:]) if a == b)
+        raise InputError(f"two distinct subterms print as {shared!r}; states are named by printed form")
     top = terms.pop()
     return _term_system(sig, [*sorted(terms, key=name.__getitem__), top], name), name[top]
 

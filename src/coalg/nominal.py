@@ -315,7 +315,7 @@ def nlts_from_json(doc) -> NLTSSpec:
         )
     try:
         return NLTSSpec(labels, rules)
-    except (InputError, UnknownLabelError) as exc:
+    except InputError as exc:
         raise InputError(f"$.rules: {exc}") from None
 
 

@@ -30,6 +30,7 @@ from .coalgebras import (
     BudgetExhausted,
     FiniteCoalgebra,
     LazyCoalgebra,
+    _successor_set,
     least_subcoalgebra,
 )
 from .containers import (
@@ -43,7 +44,6 @@ from .containers import (
 from .errors import (
     ContainerMismatchError,
     CycleError,
-    DanglingRefError,
     FoundInfinitePathEvidence,
     InputError,
     NameClashError,
@@ -215,21 +215,13 @@ def extend_recursion_solution(
     by their solved values; old states keep their values.  New state names
     must be fresh and their structures may only reference old states.
     """
-    clash = set(p) & set(values)
+    clash = p.keys() & values.keys()
     if clash:
         raise NameClashError(f"new states already solved: {sorted(clash)}")
     out = dict(values)
     for x in sorted(p):
-        h = p[x]
-        try:
-            refs = support(alg.container, h)
-        except InputError:
-            raise InputError(f"extension structure of {x!r} is not a value of the container") from None
-        if not refs <= set(values):
-            raise DanglingRefError(
-                f"extension structure of {x!r} references unsolved states {sorted(refs - set(values))}"
-            )
-        out[x] = alg.eval(interpret(alg.container, h, values))
+        _successor_set(alg.container, p[x], values.keys(), "extension structure of", x)
+        out[x] = alg.eval(interpret(alg.container, p[x], values))
     return out
 
 

@@ -195,14 +195,17 @@ class TestRealizeAndFragmentCheck:
         [
             ({"op": "f", "args": [{"op": "f", "args": [{"op": "a", "args": ["a"]}]}]},
              "'a' takes 0 arguments, got 1"),
-            # two distinct subterms print as f(a): states are printed subterms
+            # two distinct subterms print as f(a): states are printed subterms,
+            # so realize names the shared form rather than a carrier check
             ({"op": "g", "args": [{"op": "f(a)"}, {"op": "f", "args": [{"op": "a"}]}]},
-             "duplicate state ids in carrier"),
+             "two distinct subterms print as 'f(a)'; states are named by printed form"),
+            ({"op": "g", "args": [{"op": "h", "args": ["a", "b"]}, {"op": "h(a,b)"}]},
+             "two distinct subterms print as 'h(a,b)'; states are named by printed form"),
         ],
-        ids=["nested-arity", "printed-name-collision"],
+        ids=["nested-arity", "printed-name-collision", "printed-name-collision-binary"],
     )
     def test_realize_input_errors(self, tmp_path, capsys, structure, message):
-        sig = Signature((("a", 0), ("f(a)", 0), ("f", 1), ("g", 2)))
+        sig = Signature((("a", 0), ("b", 0), ("f(a)", 0), ("h(a,b)", 0), ("f", 1), ("g", 2), ("h", 2)))
         sig = write(tmp_path, "sig.json", signature_to_json(sig))
         structure = write(tmp_path, "structure.json", structure)
         assert main(["realize", "--sig", sig, "--structure", structure]) == 3

@@ -9,6 +9,7 @@ from coalg.coalgebras import (
     coalgebra_from_json,
     coalgebra_to_json,
     coproduct_extension,
+    induction_algebra,
     is_cartesian_subcoalgebra,
     is_subcoalgebra,
     least_subcoalgebra,
@@ -26,12 +27,13 @@ from coalg.containers import (
     structure_from_json,
 )
 from coalg.errors import (
+    AnalysisError,
     ContainerMismatchError,
     DanglingRefError,
     InputError,
     NameClashError,
 )
-from coalg.wellfounded import integer_ladder
+from coalg.wellfounded import extend_recursion_solution, integer_ladder
 
 from genutil import (
     enumerate_structures,
@@ -87,6 +89,59 @@ class TestConstruction:
     def test_duplicate_states_rejected(self):
         with pytest.raises(InputError):
             FiniteCoalgebra(GRAPH, ["a", "a"], {"a": set_of(())})
+
+
+UNSORTED = SetOf((StateRef("b"), StateRef("a")))  # a set out of order is not a value
+
+
+class TestSystemContracts:
+    """One refusal per contract through each entry point that checks it:
+    the carrier (distinct ids, and a structure total on them) and the
+    successor sets (each structure a value whose states lie in the allowed
+    set).  The class and the whole message are pinned."""
+
+    @pytest.mark.parametrize(
+        "refuse, error, message",
+        [
+            (lambda: FiniteCoalgebra(GRAPH, ["a", "a"], {"a": set_of(())}),
+             InputError, "duplicate state ids in carrier"),
+            (lambda: FiniteCoalgebra(GRAPH, ["a", "b"], {"a": set_of(()), "z": set_of(())}),
+             InputError, "structure must be total on the carrier (missing ['b'], extra ['z'])"),
+            (lambda: coalgebra_from_json({**coalgebra_to_json(CHAIN), "states": ["a", "b", "a"]}),
+             InputError, "$.states: duplicate state ids in carrier"),
+            (lambda: coalgebra_from_json({**coalgebra_to_json(CHAIN), "states": ["a"]}),
+             InputError, "$.structure: structure must be total on the carrier (missing [], extra ['b'])"),
+        ],
+        ids=["constructor-duplicate", "constructor-total", "json-duplicate", "json-total"],
+    )
+    def test_carrier(self, refuse, error, message):
+        with pytest.raises(AnalysisError) as info:
+            refuse()
+        assert (type(info.value), str(info.value)) == (error, message)
+
+    @pytest.mark.parametrize(
+        "refuse, error, message",
+        [
+            (lambda: FiniteCoalgebra(GRAPH, ["a", "b"], {"a": UNSORTED, "b": set_of(())}),
+             InputError, "structure of state 'a' is not a value of the container"),
+            (lambda: FiniteCoalgebra(GRAPH, ["a"], {"a": set_of([StateRef("ghost")])}),
+             DanglingRefError, "structure of state 'a' references states outside the allowed set ['ghost']"),
+            (lambda: coproduct_extension(CHAIN, ["n"], {"n": UNSORTED}),
+             InputError, "extension structure of 'n' is not a value of the container"),
+            (lambda: coproduct_extension(CHAIN, ["m", "n"], {"m": set_of(()), "n": set_of([StateRef("m")])}),
+             DanglingRefError, "extension structure of 'n' references states outside the allowed set ['m']"),
+            (lambda: extend_recursion_solution({"a": 1, "b": 1}, {"n": UNSORTED}, induction_algebra(GRAPH)),
+             InputError, "extension structure of 'n' is not a value of the container"),
+            (lambda: extend_recursion_solution({"a": 1}, {"n": set_of([StateRef("b")])}, induction_algebra(GRAPH)),
+             DanglingRefError, "extension structure of 'n' references states outside the allowed set ['b']"),
+        ],
+        ids=["constructor-value", "constructor-dangling", "extension-value", "extension-dangling",
+             "solution-value", "solution-dangling"],
+    )
+    def test_successor_sets(self, refuse, error, message):
+        with pytest.raises(AnalysisError) as info:
+            refuse()
+        assert (type(info.value), str(info.value)) == (error, message)
 
 
 class TestMorphism:

@@ -3,16 +3,26 @@ in ``tests/genutil.py``, not in the package."""
 
 import ast
 import builtins
+import importlib
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import coalg
+import coalg.cli
 import coalg.containers
 import coalg.records
 from coalg.containers import Const, Exp, FinPow, Identity, PairNeq, Product, Sum, structure_decoder, support
-from coalg.errors import InputError
+from coalg.errors import (
+    AnalysisError,
+    CycleError,
+    DanglingRefError,
+    FoundInfinitePathEvidence,
+    InputError,
+    NotWellFoundedError,
+    UnknownLabelError,
+)
 from coalg.records import record
 
 PUBLIC_NAMES = [
@@ -121,6 +131,47 @@ def test_one_container_walk_per_job():
         if isinstance(node, ast.FunctionDef) and dispatches_on_identity(node)
     }
     assert walks == CONTAINER_WALKS
+
+
+# each exit code with a verdict error has one family: cli._run maps a
+# NotWellFoundedError to 1 and any other AnalysisError to 3, so a new error
+# joins a family rather than growing an except tuple
+EXIT_FAMILIES = [("NotWellFoundedError", 1), ("AnalysisError", 3)]
+
+
+@pytest.mark.parametrize(
+    "error, family",
+    [
+        (CycleError, NotWellFoundedError),
+        (FoundInfinitePathEvidence, NotWellFoundedError),
+        (DanglingRefError, InputError),
+        (UnknownLabelError, InputError),
+    ],
+)
+def test_exception_families(error, family):
+    assert issubclass(error, family)
+
+
+def test_one_except_clause_per_exit_code():
+    package = Path(coalg.__file__).resolve().parent
+    trees = {f.stem: ast.parse(f.read_text(encoding="utf-8")) for f in sorted(package.glob("*.py"))}
+    run = next(node for node in trees["cli"].body if isinstance(node, ast.FunctionDef) and node.name == "_run")
+    clauses = [
+        (ast.unparse(handler.type), getattr(coalg.cli, handler.body[-1].value.id))
+        for handler in ast.walk(run)
+        if isinstance(handler, ast.ExceptHandler)
+    ]
+    assert clauses == EXIT_FAMILIES
+
+    tuples = []
+    for stem, tree in trees.items():
+        module = importlib.import_module(f"coalg.{stem}")
+        for handler in ast.walk(tree):
+            if isinstance(handler, ast.ExceptHandler) and isinstance(handler.type, ast.Tuple):
+                caught = [getattr(module, ast.unparse(e), None) for e in handler.type.elts]
+                if sum(isinstance(c, type) and issubclass(c, AnalysisError) for c in caught) > 1:
+                    tuples.append(f"{stem}.py:{handler.lineno}")
+    assert tuples == []
 
 
 def test_sources_parse_as_python_3_10(monkeypatch):
