@@ -103,9 +103,10 @@ class FiniteCoalgebra:
 
 
 def _check_carrier(states: Sequence[str], structure: Mapping, states_at: str = "", structure_at: str = "") -> set:
-    """The carrier of a system: its state ids, checked distinct and with
-    ``structure`` total on them.  An error begins with ``states_at`` or
-    ``structure_at``, the place that the caller names."""
+    """The carrier of a system, or the new states of an extension: its
+    state ids, checked distinct and with ``structure`` total on them.  An
+    error begins with ``states_at`` or ``structure_at``, the place that the
+    caller names."""
     carrier = set(states)
     if len(carrier) != len(states):
         raise InputError(f"{states_at}duplicate state ids in carrier")
@@ -252,15 +253,12 @@ def coproduct_extension(
     other or themselves.
     """
     new_states = tuple(new_states)
-    if len(set(new_states)) != len(new_states):
-        raise InputError("duplicate new state ids")
     old = set(coalg.states)
     clash = old & set(new_states)
     if clash:
         raise NameClashError(f"new states already in carrier: {sorted(clash)}")
     p = dict(p)
-    if set(p) != set(new_states):
-        raise InputError("extension map must be total on exactly the new states")
+    _check_carrier(new_states, p, "new states: ", "extension map: ")
     structure = dict(coalg.structure)
     succ = dict(coalg.successor_map)
     for x in new_states:

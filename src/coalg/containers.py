@@ -16,7 +16,7 @@ import operator
 from itertools import chain, repeat
 from typing import Iterable, Mapping, Union
 
-from .errors import InputError, UnknownStateError
+from .errors import DanglingRefError, InputError, UnknownStateError
 from .records import record
 
 # ---------------------------------------------------------------------------
@@ -515,11 +515,12 @@ def _shape_error(container, h):
 
 
 class _Mismatch(Exception):
-    """A decode error; each enclosing node adds its step to the JSON path."""
+    """A decode error, raised as an ``error``; each enclosing node adds its
+    step to the JSON path."""
 
-    def __init__(self, msg: str, step: str = ""):
+    def __init__(self, msg: str, step: str = "", error: type = InputError):
         super().__init__(msg)
-        self.msg, self.steps = msg, [step] if step else []
+        self.msg, self.steps, self.error = msg, [step] if step else [], error
 
     def at(self, step: str) -> "_Mismatch":
         self.steps.append(step)
@@ -555,7 +556,7 @@ def _bad_leaf(x, tag: str, labels) -> _Mismatch:
         return _Mismatch(f"expected one of {list(labels)}, got {s!r}", ".const")
     if type(s) is not str or not s:
         return _Mismatch("expected a non-empty string", ".state")
-    return _Mismatch(f"{s!r} is not a carrier state", ".state")
+    return _Mismatch(f"{s!r} is not a carrier state", ".state", DanglingRefError)
 
 
 _SCOPE = dict(  # the names the generated code uses
@@ -614,7 +615,7 @@ def structure_decoder(container: Container, carrier):
             try:
                 values[key] = root(docs.pop(key), refs, interned)
             except _Mismatch as exc:
-                raise InputError(f"{where}{key}{''.join(reversed(exc.steps))}: {exc.msg}") from None
+                raise exc.error(f"{where}{key}{''.join(reversed(exc.steps))}: {exc.msg}") from None
             supports[key] = frozenset(refs)
         return values, supports
 

@@ -35,7 +35,7 @@ from coalg.containers import (
 )
 from coalg.coalgebras import FiniteCoalgebra
 from coalg.convex import CPoint, CPolytope, ConvexSpec
-from coalg.errors import InputError, UnknownStateError
+from coalg.errors import DanglingRefError, InputError, UnknownStateError
 from coalg.nominal import (
     FRESH_CASE,
     INPUT_SLOT,
@@ -598,10 +598,11 @@ def reference_structure_to_json(container, h):
 
 
 class _Mismatch(Exception):
-    def __init__(self, msg, step=""):
+    def __init__(self, msg, step="", error=InputError):
         super().__init__(msg)
         self.msg = msg
         self.steps = [step] if step else []
+        self.error = error
 
 
 def _tag_error(doc, tags):
@@ -639,7 +640,7 @@ def reference_decoder(container, carrier):
         if not isinstance(s, str) or not s:
             raise _Mismatch("expected a non-empty string", ".state")
         if s not in carrier:
-            raise _Mismatch(f"{s!r} is not a carrier state", ".state")
+            raise _Mismatch(f"{s!r} is not a carrier state", ".state", DanglingRefError)
         refs.add(s)
         return interned.setdefault(s, StateRef(s))
 
@@ -729,7 +730,7 @@ def reference_decoder(container, carrier):
         try:
             h = root(doc, refs)
         except _Mismatch as exc:
-            raise InputError(f"{where}{''.join(reversed(exc.steps))}: {exc.msg}") from None
+            raise exc.error(f"{where}{''.join(reversed(exc.steps))}: {exc.msg}") from None
         return h, frozenset(refs)
 
     return decode

@@ -111,8 +111,13 @@ class TestSystemContracts:
              InputError, "$.states: duplicate state ids in carrier"),
             (lambda: coalgebra_from_json({**coalgebra_to_json(CHAIN), "states": ["a"]}),
              InputError, "$.structure: structure must be total on the carrier (missing [], extra ['b'])"),
+            (lambda: coproduct_extension(CHAIN, ["n", "n"], {"n": set_of(())}),
+             InputError, "new states: duplicate state ids in carrier"),
+            (lambda: coproduct_extension(CHAIN, ["n"], {"m": set_of(())}),
+             InputError, "extension map: structure must be total on the carrier (missing ['n'], extra ['m'])"),
         ],
-        ids=["constructor-duplicate", "constructor-total", "json-duplicate", "json-total"],
+        ids=["constructor-duplicate", "constructor-total", "json-duplicate", "json-total",
+             "extension-duplicate", "extension-total"],
     )
     def test_carrier(self, refuse, error, message):
         with pytest.raises(AnalysisError) as info:
@@ -126,6 +131,10 @@ class TestSystemContracts:
              InputError, "structure of state 'a' is not a value of the container"),
             (lambda: FiniteCoalgebra(GRAPH, ["a"], {"a": set_of([StateRef("ghost")])}),
              DanglingRefError, "structure of state 'a' references states outside the allowed set ['ghost']"),
+            (lambda: coalgebra_from_json({**coalgebra_to_json(CHAIN), "structure": {"a": {"tuple": 5}, "b": {"set": []}}}),
+             InputError, "$.structure.a: expected tag 'set', got 'tuple'"),
+            (lambda: coalgebra_from_json({**coalgebra_to_json(CHAIN), "structure": {"a": {"set": [{"state": "z"}]}, "b": {"set": []}}}),
+             DanglingRefError, "$.structure.a.set[0].state: 'z' is not a carrier state"),
             (lambda: coproduct_extension(CHAIN, ["n"], {"n": UNSORTED}),
              InputError, "extension structure of 'n' is not a value of the container"),
             (lambda: coproduct_extension(CHAIN, ["m", "n"], {"m": set_of(()), "n": set_of([StateRef("m")])}),
@@ -135,7 +144,8 @@ class TestSystemContracts:
             (lambda: extend_recursion_solution({"a": 1}, {"n": set_of([StateRef("b")])}, induction_algebra(GRAPH)),
              DanglingRefError, "extension structure of 'n' references states outside the allowed set ['b']"),
         ],
-        ids=["constructor-value", "constructor-dangling", "extension-value", "extension-dangling",
+        ids=["constructor-value", "constructor-dangling", "json-value", "json-dangling",
+             "extension-value", "extension-dangling",
              "solution-value", "solution-dangling"],
     )
     def test_successor_sets(self, refuse, error, message):

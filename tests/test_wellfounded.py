@@ -1,5 +1,5 @@
 import itertools
-import time
+from collections.abc import Mapping
 
 import pytest
 
@@ -410,17 +410,33 @@ class TestExtendRecursion:
 
     def test_checks_each_new_state_against_the_solved_keys(self):
         # each new state's successors are checked against the solution's
-        # keys; a set of the 100 000 solved states rebuilt per new state
-        # made this take some 8 s, against 0.02 s (2-CPU Xeon)
+        # keys: the solution is scanned as often for 2 000 new states as for
+        # 20, not once per new state (a set of the 100 000 solved states
+        # rebuilt per new state made 2 000 new states take some 8 s)
         from coalg.wellfounded import extend_recursion_solution
+
+        class Solved(Mapping):
+            def __init__(self, values):
+                self.values, self.scans = values, 0
+
+            def __getitem__(self, x):
+                return self.values[x]
+
+            def __len__(self):
+                return len(self.values)
+
+            def __iter__(self):
+                self.scans += 1
+                return iter(self.values)
 
         rng = rng_for(97)
         alg = count_algebra(GRAPH)
-        values = {f"s{i}": i % 7 for i in range(100_000)}
+        solved = {f"s{i}": i % 7 for i in range(100_000)}
         p = {f"n{j}": set_of([StateRef(f"s{rng.randrange(100_000)}") for _ in range(3)]) for j in range(2000)}
-        start = time.perf_counter()
+        few, values = Solved(solved), Solved(solved)
+        extend_recursion_solution(few, dict(itertools.islice(p.items(), 20)), alg)
         out = extend_recursion_solution(values, p, alg)
-        assert time.perf_counter() - start < 0.5
+        assert values.scans == few.scans
         assert len(out) == 102_000
         assert all(out[x] == 1 + max(values[r.state] for r in h.items) for x, h in p.items())
 
