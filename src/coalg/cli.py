@@ -352,12 +352,14 @@ def cmd_export_dot(path: str) -> int:
     if kind == "set-coalgebra":
         if isinstance(obj, LazyCoalgebra):
             raise InputError("export-dot needs a finite carrier")
-        succ = obj.successor_map
+        names = obj._names
+        edges = [(names[i], names[j]) for i, out in enumerate(obj._out) for j in out]
     elif kind == "nlts":
-        succ = orbit_graph(obj)
+        graph = orbit_graph(obj)
+        names, edges = graph, [(a, b) for a, out in graph.items() for b in out]
     else:
         raise InputError(f"export-dot does not apply to kind {kind!r}")
-    _write(export_dot(succ, [(a, b) for a, out in succ.items() for b in out]))
+    _write(export_dot(names, edges))
     return EXIT_OK
 
 

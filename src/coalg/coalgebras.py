@@ -9,6 +9,7 @@ budget-guarded by the caller.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .containers import (
@@ -34,27 +35,40 @@ from .records import record
 
 
 class FiniteCoalgebra:
-    """A finite state system: every state has an explicit structure entry."""
+    """A finite state system: every state has an explicit structure entry.
+
+    Next to its carrier ``states`` and their ``structure``, a system keeps
+    the view the kernels read: ``_names``, the states in sorted order, and
+    ``_out``, each one's successors as a tuple of indices into ``_names``.
+    Index order is name order, so a least index, a sorted list of indices
+    and a sorted frontier of :func:`coalg.fixpoint.reach` name the states
+    that the names themselves would.  ``successor_map``, the view by name,
+    is built on its first read and kept in ``_succ``.
+    """
 
     def __init__(self, container: Container, states: Iterable[str], structure: Mapping[str, HStructure]):
         states = tuple(states)
         structure = dict(structure)
         carrier = _check_carrier(states, structure)
+        succ = {x: _successor_set(container, h, carrier.keys(), "structure of state", x) for x, h in structure.items()}
         self.container = container
         self.states = states
         self.structure = structure
-        self._succ = {
-            x: _successor_set(container, h, carrier, "structure of state", x) for x, h in structure.items()
-        }
+        self._names = tuple(carrier)
+        self._out = tuple(tuple(map(carrier.__getitem__, succ[x])) for x in carrier)
+        self._succ = None
 
     @classmethod
-    def _trusted(cls, container, states, structure, succ):
-        # internal constructor for systems whose parts and successor map are already checked
+    def _trusted(cls, container, states: tuple, structure: dict, names, out):
+        # internal constructor for systems whose parts are already checked
+        # and not shared, with ``names`` sorted and ``out`` indexing into it
         obj = cls.__new__(cls)
         obj.container = container
-        obj.states = tuple(states)
-        obj.structure = dict(structure)
-        obj._succ = succ
+        obj.states = states
+        obj.structure = structure
+        obj._names = tuple(names)
+        obj._out = tuple(out)
+        obj._succ = None
         return obj
 
     def structure_of(self, state: str) -> HStructure:
@@ -65,29 +79,41 @@ class FiniteCoalgebra:
 
     @property
     def successor_map(self) -> dict[str, frozenset[str]]:
+        if self._succ is None:
+            names = self._names
+            out = dict(zip(names, self._out))
+            self._succ = {x: frozenset([names[i] for i in out[x]]) for x in self.structure}
         return self._succ
 
     def successors(self, state: str) -> frozenset[str]:
-        try:
-            return self.successor_map[state]
-        except KeyError:
-            raise UnknownStateError(f"unknown state {state!r}") from None
+        names = self._names
+        return frozenset([names[i] for i in self._out[self._index(state)]])
+
+    def _index(self, state: str) -> int:
+        """The index of ``state`` in ``_names``."""
+        names = self._names
+        i = bisect_left(names, state) if isinstance(state, str) else len(names)
+        if i == len(names) or names[i] != state:
+            raise UnknownStateError(f"unknown state {state!r}")
+        return i
 
     def restrict(self, subset: Iterable[str]) -> "FiniteCoalgebra":
         """Restriction to a successor-closed subset, keeping carrier order."""
         subset = set(subset)
         if not subset <= set(self.states):
             raise UnknownStateError(f"not a subset of the carrier: {sorted(subset - set(self.states))}")
-        succ = self.successor_map
-        for x in subset:
-            if not succ[x] <= subset:
-                raise InputError(f"subset is not successor-closed at {x!r}")
+        keep = sorted(map(self._index, subset))
+        at = dict(zip(keep, range(len(keep))))  # old index -> new index
+        for i in keep:
+            if not all(j in at for j in self._out[i]):
+                raise InputError(f"subset is not successor-closed at {self._names[i]!r}")
         states = tuple(x for x in self.states if x in subset)
         return FiniteCoalgebra._trusted(
             self.container,
             states,
             {x: self.structure[x] for x in states},
-            {x: succ[x] for x in states},
+            [self._names[i] for i in keep],
+            [tuple(map(at.__getitem__, self._out[i])) for i in keep],
         )
 
     def __eq__(self, other):
@@ -102,17 +128,17 @@ class FiniteCoalgebra:
         return f"FiniteCoalgebra({len(self.states)} states over {self.container!r})"
 
 
-def _check_carrier(states: Sequence[str], structure: Mapping, states_at: str = "", structure_at: str = "") -> set:
+def _check_carrier(states: Sequence[str], structure: Mapping, states_at: str = "", structure_at: str = "") -> dict:
     """The carrier of a system, or the new states of an extension: its
-    state ids, checked distinct and with ``structure`` total on them.  An
-    error begins with ``states_at`` or ``structure_at``, the place that the
-    caller names."""
-    carrier = set(states)
+    state ids, checked distinct and with ``structure`` total on them, each
+    mapped to its index in sorted order.  An error begins with
+    ``states_at`` or ``structure_at``, the place that the caller names."""
+    carrier = dict(zip(sorted(states), range(len(states))))
     if len(carrier) != len(states):
         raise InputError(f"{states_at}duplicate state ids in carrier")
-    if structure.keys() != carrier:
-        missing = sorted(carrier - structure.keys())
-        extra = sorted(structure.keys() - carrier)
+    if structure.keys() != carrier.keys():
+        missing = sorted(carrier.keys() - structure.keys())
+        extra = sorted(structure.keys() - carrier.keys())
         raise InputError(
             f"{structure_at}structure must be total on the carrier (missing {missing}, extra {extra})"
         )
@@ -211,9 +237,8 @@ def verify_coalgebra_morphism(
 
 def is_subcoalgebra(subset: Iterable[str], coalg: FiniteCoalgebra) -> bool:
     """True iff the subset is closed under successors."""
-    subset = set(subset)
-    succ = coalg.successor_map
-    return all(succ[x] <= subset for x in subset)
+    members = set(map(coalg._index, set(subset)))
+    return all(members.issuperset(coalg._out[i]) for i in members)
 
 
 def is_cartesian_subcoalgebra(subset: Iterable[str], coalg: FiniteCoalgebra) -> bool:
@@ -224,8 +249,8 @@ def is_cartesian_subcoalgebra(subset: Iterable[str], coalg: FiniteCoalgebra) -> 
     successors are members is itself a member.
     """
     subset = set(subset)
-    succ = coalg.successor_map
-    return all((x in subset) == (succ[x] <= subset) for x in coalg.states)
+    members = {i for i, x in enumerate(coalg._names) if x in subset}
+    return all((i in members) == members.issuperset(out) for i, out in enumerate(coalg._out))
 
 
 def least_subcoalgebra(coalg, seed: Iterable[str], budget: int):
@@ -234,11 +259,21 @@ def least_subcoalgebra(coalg, seed: Iterable[str], budget: int):
     Returns the closure as a frozenset, or :class:`BudgetExhausted` if more
     than ``budget`` states are visited before the closure stabilizes.
     """
+    visited, closed = _closure(coalg, seed, budget)
+    if isinstance(coalg, FiniteCoalgebra):
+        visited = frozenset(map(coalg._names.__getitem__, visited))
+    return visited if closed else BudgetExhausted(visited, budget)
+
+
+def _closure(coalg, seed: Iterable[str], budget: int) -> tuple[frozenset, bool]:
+    """:func:`coalg.fixpoint.reach` from ``seed``, over the indices of a
+    finite system or the names of a lazy one."""
     seed = set(seed)
     if budget < len(seed):
         raise InputError(f"budget {budget} is below the seed size {len(seed)}")
-    visited, closed = reach(coalg.successors, seed, budget)
-    return visited if closed else BudgetExhausted(visited, budget)
+    if isinstance(coalg, FiniteCoalgebra):
+        return reach(coalg._out.__getitem__, map(coalg._index, sorted(seed)), budget)
+    return reach(coalg.successors, seed, budget)
 
 
 def coproduct_extension(
@@ -259,13 +294,18 @@ def coproduct_extension(
         raise NameClashError(f"new states already in carrier: {sorted(clash)}")
     p = dict(p)
     _check_carrier(new_states, p, "new states: ", "extension map: ")
-    structure = dict(coalg.structure)
-    succ = dict(coalg.successor_map)
-    for x in new_states:
-        structure[x] = p[x]
-        succ[x] = _successor_set(coalg.container, p[x], old, "extension structure of", x)
+    refs = {x: _successor_set(coalg.container, p[x], old, "extension structure of", x) for x in new_states}
+    # the new states join the old ones in sorted order: renumber the old successors
+    names = sorted(coalg._names + new_states)
+    at = dict(zip(names, range(len(names))))
+    moved = [at[x] for x in coalg._names]  # old index -> new index
+    out = [()] * len(names)
+    for i, succ in enumerate(coalg._out):
+        out[moved[i]] = tuple(map(moved.__getitem__, succ))
+    for x, succ in refs.items():
+        out[at[x]] = tuple(map(at.__getitem__, succ))
     return FiniteCoalgebra._trusted(
-        coalg.container, coalg.states + new_states, structure, succ
+        coalg.container, coalg.states + new_states, {**coalg.structure, **{x: p[x] for x in new_states}}, names, out
     )
 
 
@@ -382,4 +422,4 @@ def coalgebra_from_json(doc) -> FiniteCoalgebra:
         raise InputError("$.structure: expected an object")
     carrier = _check_carrier(states, raw, "$.states: ", "$.structure: ")
     structure, succ = structure_decoder(container, carrier)(raw, "$.structure.")
-    return FiniteCoalgebra._trusted(container, states, structure, succ)
+    return FiniteCoalgebra._trusted(container, tuple(states), structure, carrier, map(succ.__getitem__, carrier))

@@ -313,24 +313,27 @@ def structure_to_json(h: HStructure):
 # walk dispatches on the container at run time.  Block nesting is fixed, so
 # a container of any depth compiles; a walk takes one frame per value level.
 #
-# decoding JSON: w<k>(doc, refs, interned) is the value ``doc`` spells, its
-# states added to ``refs``; ``interned`` gives the StateRef of each name
+# decoding JSON: w<k>(doc, refs, at, interned) is the value ``doc`` spells,
+# the indices of its states added to ``refs``; ``at`` gives the index of each
+# carrier name, and ``interned`` the StateRef at each index once it is made
+# (never at -1, the index of a name outside the carrier)
 _DECODE = dict(
     id=[
         's = x.get("state") if type(x) is dict and len(x) == 1 else None',
-        "v = interned.get(s) if type(s) is str else None",
-        "if v is None: v = _intern(x, interned)",
+        "i = at.get(s, -1) if type(s) is str else -1",
+        "v = interned[i]",
+        "if v is None: v = _intern(x, i, interned)",
     ],
-    ref=["refs.add(s)"],  # after a state, unless its parent (a set or a pair) adds them
+    ref=["refs.add(i)"],  # after a state, unless its parent (a set or a pair) adds them
     const=[
         'l = x.get("const") if type(x) is dict and len(x) == 1 else None',
         "v = L{j}.get(l) if type(l) is str else None",
         "if v is None: raise _bad_leaf(x, 'const', C{j}.labels)",
     ],
-    call=["v = w{j}(x, refs, interned)"],
-    key={"id": "s", "const": "l"},
-    leaf="def w{k}(x, refs, interned):\n    {child}\n    return v",
-    sum="""def w{k}(doc, refs, interned):
+    call=["v = w{j}(x, refs, at, interned)"],
+    key={"id": "i", "const": "l"},  # a state sorts as its index does
+    leaf="def w{k}(x, refs, at, interned):\n    {child}\n    return v",
+    sum="""def w{k}(doc, refs, at, interned):
     tag = next(iter(doc)) if type(doc) is dict and len(doc) == 1 else None
     if tag != "inl" and tag != "inr": raise _tag_error(doc, ("inl", "inr"))
     x = doc[tag]
@@ -341,26 +344,26 @@ _DECODE = dict(
         {right}
         return InR(v)
     except _Mismatch as exc: raise exc.at("." + tag)""",
-    product="""def w{k}(doc, refs, interned):
+    product="""def w{k}(doc, refs, at, interned):
     body = _body(doc, "tuple")
     if type(body) is not list or len(body) != {n}: raise _Mismatch("expected a list of {n} values", ".tuple")
     items = []
     try:
-        for f, x in zip(wP{k}, body): items.append(f(x, refs, interned))
+        for f, x in zip(wP{k}, body): items.append(f(x, refs, at, interned))
     except _Mismatch as exc: raise exc.at(f".tuple[{{len(items)}}]")
     return TupleOf(tuple(items))""",
-    finpow="""def w{k}(doc, refs, interned):
+    finpow="""def w{k}(doc, refs, at, interned):
     body = doc["set"] if type(doc) is dict and len(doc) == 1 and "set" in doc else _body(doc, "set")
     if type(body) is not list: raise _Mismatch("expected a list", ".set")
     items = {{}}  # sort key -> member
     try:
-        for i, x in enumerate(body):
+        for n, x in enumerate(body):
             {child}
             items[{key}] = v
-    except _Mismatch as exc: raise exc.at(f".set[{{i}}]")
+    except _Mismatch as exc: raise exc.at(f".set[{{n}}]")
     {refs}
     return _canonical(items)""",
-    exp="""def w{k}(doc, refs, interned):
+    exp="""def w{k}(doc, refs, at, interned):
     body = _body(doc, "fun")
     if type(body) is not dict or body.keys() != X{k}: raise _Mismatch(E{k}, ".fun")
     items = {{}}
@@ -370,20 +373,21 @@ _DECODE = dict(
             items[lbl] = v
     except _Mismatch as exc: raise exc.at(f".fun.{{lbl}}")
     return FunOf(tuple([(l, items[l]) for l in S{k}]))""",
-    pairneq="""def w{k}(doc, refs, interned):
+    pairneq="""def w{k}(doc, refs, at, interned):
     if type(doc) is dict and len(doc) == 1 and "star" in doc:
         if doc["star"] is not None: raise _Mismatch("expected null", ".star")
         return STAR
     body = _body(doc, "pair", ("star", "pair"))
     if type(body) is not list or len(body) != 2: raise _Mismatch("expected [left, right]", ".pair")
-    pair = []
+    pair, ids = [], []
     try:
         for x in body:
             {child}
             pair.append(v)
+            ids.append(i)
     except _Mismatch as exc: raise exc.at(f".pair[{{len(pair)}}]")
     if pair[0] is pair[1]: return STAR  # one StateRef per name; * references no state
-    refs.update((pair[0].state, pair[1].state))
+    refs.update(ids)
     return Pair(*pair)""",
 )
 
@@ -488,9 +492,9 @@ def _lines_source(table, k, nodes) -> list[str]:
         return [line.format(j=i) for line in table[leaf] + ref]
 
     children = {"child": child(j), "right": child(kids[-1] if kids else k)}
-    # a set's members sort by structure_key; a state or label sorts as its name does
+    # a set's members sort by structure_key, a label as its name does
     key = table["key"].get(nodes[j][0], "structure_key(v)")
-    fields = dict(k=k, j=j, n=len(kids), key=key, refs="refs.update(items)" if key == "s" else "pass")
+    fields = dict(k=k, j=j, n=len(kids), key=key, refs="refs.update(items)" if key == "i" else "pass")
     out = []
     for line in table["leaf" if kind in ("id", "const") else kind].split("\n"):
         name = line.strip()[1:-1]
@@ -540,12 +544,13 @@ def _body(doc, tag: str, tags=None):
     raise _tag_error(doc, tags or (tag,))
 
 
-def _intern(x, interned: dict):
-    """The StateRef of the state that ``x`` names, made on its first reference."""
-    s = x.get("state") if type(x) is dict and len(x) == 1 else None
-    if type(s) is not str or not s or s not in interned:
+def _intern(x, i: int, interned: list):
+    """The StateRef of the carrier state at index ``i`` that ``x`` names,
+    made on its first reference; ``i`` is -1 for a name outside the
+    carrier."""
+    if i < 0 or not x["state"]:
         raise _bad_leaf(x, "state", None)
-    v = interned[s] = StateRef(s)
+    v = interned[i] = StateRef(x["state"])
     return v
 
 
@@ -595,29 +600,32 @@ def support(container: Container, h: HStructure) -> frozenset[str]:
     return frozenset(out)
 
 
-def structure_decoder(container: Container, carrier):
+def structure_decoder(container: Container, carrier: dict):
     """The one-pass decoder of the JSON values of ``container``.
 
+    ``carrier`` maps each state name to its index: the names in sorted
+    order, numbered from 0, so that a set of states sorts as its indices do.
     ``decode(docs, where="$")`` decodes each value of the dict ``docs`` and
-    removes it there, and returns the values and their supports, keyed
-    alike.  One walk of a document checks it against the container and its
-    state names against ``carrier``, and builds the canonical value that
+    removes it there, and returns the values and their successors, keyed
+    alike: the successors of a value are the indices of its states, in a
+    tuple.  One walk of a document checks it against the container and its
+    state names against the carrier, and builds the canonical value that
     :func:`structure_from_json` builds, with one ``StateRef`` per name.  An
     error names the JSON path ``where``, then the key, then the steps in it.
     """
     root = _walk(container, "decode")
-    interned = dict.fromkeys(carrier)  # state name -> its StateRef, made on first use
+    interned = [None] * (len(carrier) + 1)  # index -> its StateRef, made on first use
 
     def decode(docs: dict, where: str = "$"):
-        values, supports = {}, {}
+        values, successors = {}, {}
         for key in list(docs):
-            refs: set[str] = set()
+            refs: set[int] = set()
             try:
-                values[key] = root(docs.pop(key), refs, interned)
+                values[key] = root(docs.pop(key), refs, carrier, interned)
             except _Mismatch as exc:
                 raise exc.error(f"{where}{key}{''.join(reversed(exc.steps))}: {exc.msg}") from None
-            supports[key] = frozenset(refs)
-        return values, supports
+            successors[key] = tuple(refs)
+        return values, successors
 
     return decode
 

@@ -272,19 +272,22 @@ def convex_wf_fixpoint(spec: ConvexSpec) -> ConvexWfReport:
     """Least fixpoint from below: WF(g) iff every successor vertex of g has
     a WF generator in its support (see the module docstring for why).
 
-    One linear pass of :func:`coalg.fixpoint.least_fixpoint`: g maps to a
-    node (g, k) per vertex k, which maps to the vertex's support and holds
-    once one member does.  So rank(g) = 1 + max over g's vertices of the
-    least rank in the support (1 for an empty polytope): the round in which
-    g enters when the rule is iterated from the empty set.
+    One linear pass of :func:`coalg.fixpoint.least_fixpoint`: generator g
+    is node g, and its vertices are nodes numbered after all generators;
+    g maps to its vertex nodes, and a vertex node maps to the vertex's
+    support and holds once one member does.  So rank(g) = 1 + max over g's
+    vertices of the least rank in the support (1 for an empty polytope):
+    the round in which g enters when the rule is iterated from the empty set.
     """
     n = spec.generators
-    succ: dict = {}
-    for g, poly in enumerate(spec.polytopes):
-        succ[g] = [(g, k) for k in range(len(poly))]
-        succ.update(((g, k), v.support) for k, v in enumerate(poly))
-    rank = least_fixpoint(succ, any_of={x for x in succ if isinstance(x, tuple)})
-    wf = {g: rank[g] for g in range(n) if g in rank}
+    succ: list = []
+    vertices: list = []
+    for poly in spec.polytopes:
+        first = n + len(vertices)
+        succ.append(range(first, first + len(poly)))
+        vertices += [v.support for v in poly]
+    rank = least_fixpoint(succ + vertices, any_of=range(n, n + len(vertices)))[0]
+    wf = {g: rank[g] for g in range(n) if rank[g]}
     return ConvexWfReport(tuple(g in wf for g in range(n)), wf)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Optional
 
 from .errors import InputError, NotWellFoundedError, UnknownLabelError, check_header
-from .fixpoint import least_fixpoint, reach
+from .fixpoint import least_fixpoint, numbered, reach
 from .records import record
 
 FRESH_CASE = ("fresh",)
@@ -190,7 +190,13 @@ def nominal_is_well_founded(spec: NLTSSpec) -> bool:
 def nominal_wf_labels(spec: NLTSSpec) -> frozenset[str]:
     """Labels from which no infinite concrete run exists: the well-founded
     part of the orbit graph, computed in time linear in its size."""
-    return frozenset(least_fixpoint(orbit_graph(spec)))
+    return _wf_part(orbit_graph(spec))
+
+
+def _wf_part(graph: Mapping[str, frozenset[str]]) -> frozenset[str]:
+    # the kernel runs on the labels numbered in sorted order
+    labels, out = numbered(graph)
+    return frozenset(map(labels.__getitem__, least_fixpoint(out)[1]))
 
 
 def path_witness(spec: NLTSSpec, state: NState, length: int) -> list[tuple[int, NState]]:
@@ -203,7 +209,7 @@ def path_witness(spec: NLTSSpec, state: NState, length: int) -> list[tuple[int, 
     """
     spec.check_state(state)
     graph = orbit_graph(spec)
-    alive = frozenset(graph) - frozenset(least_fixpoint(graph))
+    alive = frozenset(graph) - _wf_part(graph)
     if state.label not in alive:
         raise InputError(f"no infinite run exists from label {state.label!r}")
     steps: list[tuple[int, NState]] = []
@@ -250,7 +256,7 @@ def nominal_koenig_extract(spec: NLTSSpec, state: NState) -> frozenset[str]:
     """
     spec.check_state(state)
     graph = orbit_graph(spec)
-    if len(least_fixpoint(graph)) < len(graph):
+    if len(_wf_part(graph)) < len(graph):
         raise NotWellFoundedError("system is not well-founded")
     return reach(graph.__getitem__, [state.label])[0]
 

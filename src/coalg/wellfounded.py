@@ -30,8 +30,8 @@ from .coalgebras import (
     BudgetExhausted,
     FiniteCoalgebra,
     LazyCoalgebra,
+    _closure,
     _successor_set,
-    least_subcoalgebra,
 )
 from .containers import (
     STAR,
@@ -51,7 +51,7 @@ from .errors import (
     VerificationFailedError,
     ZeroStateError,
 )
-from .fixpoint import least_fixpoint, reach
+from .fixpoint import least_fixpoint, numbered, reach
 from .records import record
 
 
@@ -69,10 +69,11 @@ class WfReport:
     rank: dict[str, int]
 
     def to_json(self) -> dict:
-        # ranks keep the fixpoint's order; every printer sorts keys
+        # every printer sorts the ranks' keys, as this sorts the states that
+        # have one: in linear time when they come sorted, as from the kernel
         return {
             "wellFounded": self.is_well_founded,
-            "wfPart": sorted(self.wf_part),
+            "wfPart": sorted(self.rank),
             "ranks": self.rank,
         }
 
@@ -84,9 +85,14 @@ def well_founded_part(coalg: FiniteCoalgebra) -> WfReport:
     The complement of the result is exactly the set of states lying on an
     infinite outgoing path.
     """
-    rank = least_fixpoint(coalg.successor_map)
-    wf = frozenset(rank)
-    return WfReport(wf, len(wf) == len(coalg.states), rank)
+    rank, order = least_fixpoint(coalg._out)
+    ranks = _named_ranks(coalg._names, rank)
+    return WfReport(frozenset(ranks), len(order) == len(rank), ranks)
+
+
+def _named_ranks(names, rank) -> dict[str, int]:
+    # the kernel's ranks by state name, in name order
+    return {x: r for x, r in zip(names, rank) if r}
 
 
 def is_well_founded(coalg: FiniteCoalgebra) -> bool:
@@ -125,33 +131,44 @@ def koenig_family(coalg: FiniteCoalgebra) -> KoenigFamily:
     """
     if not is_well_founded(coalg):
         raise NotWellFoundedError("system is not well-founded")
-    succ = coalg.successor_map.__getitem__
-    closures = {reach(succ, [x])[0] for x in coalg.states}
-    members = tuple(sorted(closures, key=lambda m: (len(m), sorted(m))))
-    return KoenigFamily(frozenset(coalg.states), members)
+    # on indices, which sort as the names do
+    closures = {reach(coalg._out.__getitem__, [i])[0] for i in range(len(coalg._names))}
+    members = sorted(closures, key=lambda m: (len(m), sorted(m)))
+    names = coalg._names.__getitem__
+    return KoenigFamily(frozenset(coalg.states), tuple(frozenset(map(names, m)) for m in members))
 
 
 def koenig_extract(coalg, state: str, budget: int):
     """Finite well-founded subsystem around one state, within a budget.
 
-    Delegates to the successor closure; on success the closure's successor
-    map is re-checked for well-foundedness before it is returned.  Outcomes:
+    Takes the successor closure of ``state``, as
+    :func:`coalg.coalgebras.least_subcoalgebra` does; on success the
+    fixpoint kernel re-checks the closure for well-foundedness before it is
+    returned.  A finite system runs both on its state indices, the kernel
+    limited to the closure.  Outcomes:
 
     * the closure as a frozenset (successor-closed and well-founded);
     * :class:`BudgetExhausted` if the closure was not confirmed finite;
     * :class:`FoundInfinitePathEvidence` (raised) if the closure has a
       cycle reachable from ``state``, proving the input not well-founded.
     """
-    closure = least_subcoalgebra(coalg, [state], budget)
-    if isinstance(closure, BudgetExhausted):
-        return closure
-    # the closure walk does not keep its successor sets: a probe that runs
-    # out of budget would hold them all for nothing (about 16 MB on 1e5
-    # ladder states)
-    succ = {x: coalg.successors(x) for x in closure}
-    rank = least_fixpoint(succ)
-    if len(rank) < len(succ):
-        raise FoundInfinitePathEvidence(state, WfReport(frozenset(rank), False, rank))
+    visited, closed = _closure(coalg, [state], budget)
+    finite = isinstance(coalg, FiniteCoalgebra)
+    closure = frozenset(map(coalg._names.__getitem__, visited)) if finite else visited
+    if not closed:
+        return BudgetExhausted(closure, budget)
+    if finite:
+        names, out, nodes = coalg._names, coalg._out, visited
+    else:
+        # the closure walk does not keep its successor sets: a probe that
+        # runs out of budget would hold them all for nothing (about 16 MB
+        # on 1e5 ladder states)
+        names, out = numbered({x: coalg.successors(x) for x in visited})
+        nodes = None
+    rank, order = least_fixpoint(out, nodes=nodes)
+    if len(order) < len(visited):
+        ranks = _named_ranks(names, rank)
+        raise FoundInfinitePathEvidence(state, WfReport(frozenset(ranks), False, ranks))
     return closure
 
 
@@ -172,26 +189,27 @@ def solve_recursion(coalg: FiniteCoalgebra, alg: Algebra) -> dict[str, object]:
         raise ContainerMismatchError(
             f"algebra container {alg.container!r} != system container {coalg.container!r}"
         )
-    succ = coalg.successor_map
-    rank = least_fixpoint(succ)
-    if len(rank) < len(succ):
-        raise CycleError(_cycle_state(succ, rank))
+    names, out = coalg._names, coalg._out
+    rank, order = least_fixpoint(out)
+    if len(order) < len(out):
+        raise CycleError(names[_cycle_state(out, rank)])
     values: dict[str, object] = {}
-    for x in rank:
-        values[x] = alg.eval(interpret(coalg.container, coalg.structure[x], values))
+    container, structure = coalg.container, coalg.structure
+    for x in map(names.__getitem__, order):
+        values[x] = alg.eval(interpret(container, structure[x], values))
     return values
 
 
-def _cycle_state(succ, wf) -> str:
-    """A state on a cycle outside ``wf``, a successor-closed set: from the
-    least state outside it, step to the least successor outside it (each
-    such state has one) until a state repeats.
+def _cycle_state(out, rank) -> int:
+    """A node on a cycle outside the fixpoint of ``least_fixpoint``, whose
+    ranks are ``rank``: from the least node outside it, step to the least
+    successor outside it (each such node has one) until a node repeats.
     """
-    x = min(x for x in succ if x not in wf)
+    x = rank.index(0)
     seen = set()
     while x not in seen:
         seen.add(x)
-        x = min(s for s in succ[x] if s not in wf)
+        x = min(s for s in out[x] if not rank[s])
     return x
 
 

@@ -168,6 +168,28 @@ def random_graph(rng, n, density=0.3):
     return FiniteCoalgebra(FinPow(Identity()), states, structure)
 
 
+def shuffled_graph(rng, n, density=0.2):
+    """A random finite-powerset graph on the states s0 .. s<n-1>, listed in
+    a shuffled carrier order; from n = 11 on, name order is not number
+    order either (s10 sorts before s9)."""
+    names = [f"s{i}" for i in range(n)]
+    states = rng.sample(names, n)
+    structure = {x: set_of(StateRef(s) for s in names if rng.random() < density) for x in states}
+    return FiniteCoalgebra(FinPow(Identity()), states, structure)
+
+
+def cycle_state_by_name(succ, wf):
+    """The state that ``CycleError`` names, chosen on a successor map keyed
+    by names: from the least state outside ``wf`` (a successor-closed set),
+    step to the least successor outside it until a state repeats."""
+    x = min(x for x in succ if x not in wf)
+    seen = set()
+    while x not in seen:
+        seen.add(x)
+        x = min(s for s in succ[x] if s not in wf)
+    return x
+
+
 def all_graphs(n):
     """Every finite-powerset graph on n named states."""
     states = state_names(n)

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -9,6 +10,7 @@ from coalg.coalgebras import (
     coalgebra_from_json,
     coalgebra_to_json,
     coproduct_extension,
+    count_algebra,
     induction_algebra,
     is_cartesian_subcoalgebra,
     is_subcoalgebra,
@@ -25,6 +27,7 @@ from coalg.containers import (
     make_pair,
     set_of,
     structure_from_json,
+    support,
 )
 from coalg.errors import (
     AnalysisError,
@@ -32,16 +35,25 @@ from coalg.errors import (
     DanglingRefError,
     InputError,
     NameClashError,
+    NotWellFoundedError,
 )
-from coalg.wellfounded import extend_recursion_solution, integer_ladder
+from coalg.wellfounded import (
+    extend_recursion_solution,
+    integer_ladder,
+    koenig_extract,
+    solve_recursion,
+    well_founded_part,
+)
 
 from genutil import (
+    all_graphs,
     enumerate_structures,
     random_coalgebra,
     random_extension,
     random_graph,
     random_wf_coalgebra,
     rng_for,
+    shuffled_graph,
 )
 
 GRAPH = FinPow(Identity())
@@ -403,3 +415,110 @@ class TestJsonFiles:
         edit(doc)
         with pytest.raises(InputError, match=error):
             coalgebra_from_json(doc)
+
+
+def supports_by_state(coalg):
+    """The successor map as every system kept it before: each state's
+    ``support``, in structure order."""
+    return {x: support(coalg.container, h) for x, h in coalg.structure.items()}
+
+
+class TestNameView:
+    """The kernels read the index view; the view by name, ``successor_map``,
+    is built only when something reads it."""
+
+    def systems(self):
+        import coalg.gallery as gallery
+
+        rng = rng_for(269)
+        yield from all_graphs(3)
+        for _ in range(150):
+            yield random_graph(rng, rng.randint(1, 12), density=rng.choice([0.05, 0.15, 0.3]))
+        for name in gallery.gallery_names():
+            system = gallery.GALLERY[name].build()
+            if isinstance(system, FiniteCoalgebra):
+                yield system
+
+    def test_successor_map_is_the_dict_of_supports(self):
+        count = 0
+        for system in self.systems():
+            for coalg in (system, coalgebra_from_json(coalgebra_to_json(system))):
+                assert coalg._succ is None
+                assert coalg.successor_map == supports_by_state(coalg)
+                assert list(coalg.successor_map) == list(coalg.structure)
+                assert all(coalg.successors(x) == coalg.successor_map[x] for x in coalg.states)
+            count += 1
+        assert count > 512 + 150
+
+    def test_kernels_leave_it_unbuilt(self):
+        rng = rng_for(271)
+        runs = [
+            well_founded_part,
+            lambda c: solve_recursion(c, count_algebra(c.container)),
+            lambda c: koenig_extract(c, c.states[0], 1),
+            lambda c: koenig_extract(c, c.states[0], len(c.states)),
+        ]
+        verdicts = set()
+        for _ in range(40):
+            doc = coalgebra_to_json(shuffled_graph(rng, rng.randint(2, 15), 0.1))
+            for run in runs:
+                coalg = coalgebra_from_json(json.loads(json.dumps(doc)))
+                try:
+                    verdicts.add(type(run(coalg)).__name__)
+                except NotWellFoundedError as exc:
+                    verdicts.add(type(exc).__name__)
+                assert coalg._succ is None
+        assert verdicts >= {"WfReport", "dict", "BudgetExhausted", "frozenset", "CycleError", "FoundInfinitePathEvidence"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check-wf"],
+            ["fold"],
+            ["fold", "--algebra", "term"],
+            ["koenig", "--state", "s0", "--budget", "2"],
+            ["koenig", "--state", "s0"],
+            ["export-dot"],
+        ],
+    )
+    def test_commands_leave_it_unbuilt(self, argv, monkeypatch, tmp_path, capsys):
+        import coalg.cli as cli
+
+        decoded = []
+        monkeypatch.setattr(cli, "coalgebra_from_json", lambda doc: decoded.append(coalgebra_from_json(doc)) or decoded[-1])
+        for edges in ({"s0": ["s1", "s10"], "s1": ["s10"], "s10": [], "s9": ["s0"]}, {"s0": ["s1"], "s1": ["s0"]}):
+            path = tmp_path / "system.json"
+            path.write_text(json.dumps(coalgebra_to_json(graph(edges))), encoding="utf-8")
+            assert cli.main([argv[0], str(path), *argv[1:]]) in (0, 1, 2)
+            assert decoded[-1]._succ is None
+        assert len(decoded) == 2
+        capsys.readouterr()
+
+
+class TestIndexView:
+    """Library callers that build systems keep the index view in name order."""
+
+    def test_extension_with_names_before_the_old_ones(self):
+        rng = rng_for(277)
+        for _ in range(60):
+            coalg = shuffled_graph(rng, rng.randint(1, 12), 0.2)
+            new_states = rng.sample([f"a{i}" for i in range(4)] + [f"s{i}x" for i in range(4)], rng.randint(0, 4))
+            p = {x: set_of(StateRef(s) for s in coalg.states if rng.random() < 0.3) for x in new_states}
+            ext = coproduct_extension(coalg, new_states, p)
+            assert list(ext._names) == sorted(ext.states)
+            assert ext.successor_map == supports_by_state(ext)
+            assert ext.restrict(coalg.states) == coalg
+            assert ext.restrict(coalg.states).successor_map == coalg.successor_map
+
+    def test_restriction_to_a_closure(self):
+        rng = rng_for(281)
+        for _ in range(60):
+            coalg = shuffled_graph(rng, rng.randint(1, 14), 0.15)
+            closure = least_subcoalgebra(coalg, [rng.choice(coalg.states)], 100)
+            sub = coalg.restrict(closure)
+            assert list(sub._names) == sorted(closure)
+            assert sub.successor_map == supports_by_state(sub)
+            assert is_subcoalgebra(closure, coalg)
+            assert is_cartesian_subcoalgebra(closure, coalg) == all(
+                (x in closure) == (coalg.successors(x) <= closure) for x in coalg.states
+            )

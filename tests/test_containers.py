@@ -288,9 +288,11 @@ def scrambled(doc):
 
 
 def decode_one(container, carrier, doc, where="$"):
-    """``doc`` decoded alone by the decoder of a table of documents."""
-    values, supports = structure_decoder(container, carrier)({"": doc}, where)
-    return values[""], supports[""]
+    """``doc`` decoded alone by the decoder of a table of documents, with
+    its successors, positions in the sorted carrier, read back as names."""
+    names = sorted(carrier)
+    values, successors = structure_decoder(container, dict(zip(names, range(len(names)))))({"": doc}, where)
+    return values[""], frozenset(names[i] for i in successors[""])
 
 
 class TestStructureDecoder:
@@ -325,7 +327,7 @@ class TestStructureDecoder:
         assert decode_one(PairNeq(), {"a"}, doc) == (STAR, frozenset())
 
     def test_equal_state_refs_are_shared(self):
-        decode = structure_decoder(Product((Identity(), Identity())), {"a"})
+        decode = structure_decoder(Product((Identity(), Identity())), {"a": 0})
         values, _ = decode({"x": {"tuple": [{"state": "a"}, {"state": "a"}]}})
         assert values["x"].items[0] is values["x"].items[1]
         assert decode({"y": {"tuple": [{"state": "a"}, {"state": "a"}]}})[0]["y"].items[0] is values["x"].items[0]
@@ -361,7 +363,7 @@ class TestStructureDecoder:
 
     def test_where_prefixes_the_path(self):
         with pytest.raises(InputError, match=r"^\$\.structure\.s\.set\[0\]\.state: "):
-            structure_decoder(GRAPH, {"a"})({"s": {"set": [{"state": "b"}]}}, "$.structure.")
+            structure_decoder(GRAPH, {"a": 0})({"s": {"set": [{"state": "b"}]}}, "$.structure.")
 
 
 class TestConstructors:

@@ -133,6 +133,26 @@ def test_one_container_walk_per_job():
     assert walks == CONTAINER_WALKS
 
 
+def test_one_fixpoint_kernel():
+    """The kernels run on dense int indices; a back-end numbers its nodes
+    and calls them, so no name-keyed copy grows beside them: fixpoint.py is
+    the only module with a work queue, and each kernel is defined once."""
+    package = Path(coalg.__file__).resolve().parent
+    imports_deque, defined = [], Counter()
+    for f in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(f.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                a.name.split(".")[-1] == "deque" for a in node.names
+            ):
+                imports_deque.append(f.name)
+            elif isinstance(node, ast.Attribute) and node.attr == "deque":  # collections.deque
+                imports_deque.append(f.name)
+            elif isinstance(node, ast.FunctionDef):
+                defined[node.name] += 1
+    assert imports_deque == ["fixpoint.py"]
+    assert defined["least_fixpoint"] == defined["reach"] == 1
+
+
 # each exit code with a verdict error has one family: cli._run maps a
 # NotWellFoundedError to 1 and any other AnalysisError to 3, so a new error
 # joins a family rather than growing an except tuple

@@ -43,12 +43,15 @@ from coalg.wellfounded import (
 )
 
 from genutil import (
+    cycle_state_by_name,
     identity_values,
     random_coalgebra,
     random_extension,
     random_graph,
     random_wf_coalgebra,
     rng_for,
+    round_ranks,
+    shuffled_graph,
 )
 
 GRAPH = FinPow(Identity())
@@ -266,6 +269,56 @@ class TestKoenigExtract:
         with pytest.raises(FoundInfinitePathEvidence) as info:
             koenig_extract(LazyCoalgebra(GRAPH, fin.structure_of), "a", 100)
         assert info.value.report.wf_part == frozenset()
+
+
+class TestIndexOrderIsNameOrder:
+    """The kernels run on state indices; on carriers listed out of name
+    order, every choice they make is still the one made on names."""
+
+    def test_cycle_error_names_the_state_the_name_oracle_names(self):
+        rng = rng_for(251)
+        cyclic = 0
+        for _ in range(200):
+            g = shuffled_graph(rng, rng.randint(2, 24), rng.choice([0.05, 0.1, 0.2]))
+            succ = g.successor_map
+            wf = round_ranks(succ)
+            if len(wf) == len(succ):
+                assert well_founded_part(g).rank == wf
+                continue
+            cyclic += 1
+            with pytest.raises(CycleError) as info:
+                solve_recursion(g, count_algebra(GRAPH))
+            assert info.value.state == cycle_state_by_name(succ, wf)
+            assert well_founded_part(g).rank == wf
+        assert cyclic > 100
+
+    def test_budget_prefix_is_the_sorted_name_frontier(self):
+        rng = rng_for(257)
+        short = 0
+        for _ in range(200):
+            g = shuffled_graph(rng, rng.randint(11, 30), rng.choice([0.05, 0.1, 0.2]))
+            state = rng.choice(g.states)
+            succ = g.successor_map.__getitem__
+            closure, _ = reach(succ, [state])
+            if len(closure) < 3:
+                continue
+            budget = rng.randrange(1, len(closure))
+            visited, closed = reach(succ, [state], budget)
+            assert not closed
+            assert koenig_extract(g, state, budget) == BudgetExhausted(visited, budget)
+            short += 1
+        assert short > 100
+
+    def test_koenig_family_matches_the_closures_by_name(self):
+        rng = rng_for(263)
+        for _ in range(60):
+            g = shuffled_graph(rng, rng.randint(1, 14), 0.1)
+            if not is_well_founded(g):
+                continue
+            succ = g.successor_map.__getitem__
+            closures = {reach(succ, [x])[0] for x in g.states}
+            members = tuple(sorted(closures, key=lambda m: (len(m), sorted(m))))
+            assert koenig_family(g).members == members
 
 
 INDUCTION_TABLE = [
