@@ -23,6 +23,7 @@ from .coalgebras import (
     coalgebra_from_json,
     coalgebra_to_json,
     count_algebra,
+    graph_from_json,
     induction_algebra,
     unfold_algebra,
 )
@@ -95,8 +96,12 @@ def _read_json(path: str):
         raise InputError(f"{path}: JSON nested too deeply (the limit is about {limit} levels)") from None
 
 
-def load_input(path: str):
-    """Returns (kind, object).  ``gallery:<name>`` addresses a fixture."""
+def load_input(path: str, set_system=graph_from_json):
+    """Returns (kind, object).  ``gallery:<name>`` addresses a fixture.
+
+    A ``set-coalgebra`` file is decoded by ``set_system``: by default to
+    its canonical graph, all that the verdict commands read, with no
+    structure value built; ``fold`` passes :func:`coalgebra_from_json`."""
     if path.startswith("gallery:"):
         entry = gallery.get_entry(path.split(":", 1)[1])
         obj = entry.build()
@@ -107,7 +112,7 @@ def load_input(path: str):
         raise InputError(f"{path}: expected a JSON object with a 'kind' field")
     kind = doc["kind"]
     if kind == "set-coalgebra":
-        return kind, coalgebra_from_json(doc)
+        return kind, set_system(doc)
     if kind == "nlts":
         return kind, nlts_from_json(doc)
     if kind == "convex":
@@ -230,7 +235,7 @@ def _shape_to_jsonable(container, shape):
 
 
 def cmd_fold(path: str, config: argparse.Namespace) -> int:
-    kind, obj = load_input(path)
+    kind, obj = load_input(path, coalgebra_from_json)
     if kind != "set-coalgebra" or isinstance(obj, LazyCoalgebra):
         raise InputError("fold needs a finite set-coalgebra input")
     if config.algebra == "induction":

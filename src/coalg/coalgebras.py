@@ -34,56 +34,38 @@ from .fixpoint import reach
 from .records import record
 
 
-class FiniteCoalgebra:
-    """A finite state system: every state has an explicit structure entry.
+class NumberedGraph:
+    """The canonical graph of a finite system, x -> supp(c(x)), on numbered
+    states: all that the system's well-foundedness and its finite
+    well-founded subsystems depend on, for a set functor.
 
-    Next to its carrier ``states`` and their ``structure``, a system keeps
-    the view the kernels read: ``_names``, the states in sorted order, and
-    ``_out``, each one's successors as a tuple of indices into ``_names``.
-    Index order is name order, so a least index, a sorted list of indices
-    and a sorted frontier of :func:`coalg.fixpoint.reach` name the states
-    that the names themselves would.  ``successor_map``, the view by name,
-    is built on its first read and kept in ``_succ``.
+    ``states`` is the carrier in the order given, ``_names`` the states in
+    sorted order, and ``_out`` each one's successors as a tuple of indices
+    into ``_names``.  Index order is name order, so a least index, a sorted
+    list of indices and a sorted frontier of :func:`coalg.fixpoint.reach`
+    name the states that the names themselves would.  ``successor_map``,
+    the view by name, is built on its first read and kept in ``_succ``.
+    The constructor trusts its parts: ``names`` sorted, ``out`` indexing
+    into it.
     """
 
-    def __init__(self, container: Container, states: Iterable[str], structure: Mapping[str, HStructure]):
-        states = tuple(states)
-        structure = dict(structure)
-        carrier = _check_carrier(states, structure)
-        succ = {x: _successor_set(container, h, carrier.keys(), "structure of state", x) for x, h in structure.items()}
-        self.container = container
+    def __init__(self, states: tuple, names, out):
         self.states = states
-        self.structure = structure
-        self._names = tuple(carrier)
-        self._out = tuple(tuple(map(carrier.__getitem__, succ[x])) for x in carrier)
+        self._names = tuple(names)
+        self._out = tuple(out)
         self._succ = None
-
-    @classmethod
-    def _trusted(cls, container, states: tuple, structure: dict, names, out):
-        # internal constructor for systems whose parts are already checked
-        # and not shared, with ``names`` sorted and ``out`` indexing into it
-        obj = cls.__new__(cls)
-        obj.container = container
-        obj.states = states
-        obj.structure = structure
-        obj._names = tuple(names)
-        obj._out = tuple(out)
-        obj._succ = None
-        return obj
-
-    def structure_of(self, state: str) -> HStructure:
-        try:
-            return self.structure[state]
-        except KeyError:
-            raise UnknownStateError(f"unknown state {state!r}") from None
 
     @property
     def successor_map(self) -> dict[str, frozenset[str]]:
         if self._succ is None:
             names = self._names
             out = dict(zip(names, self._out))
-            self._succ = {x: frozenset([names[i] for i in out[x]]) for x in self.structure}
+            self._succ = {x: frozenset([names[i] for i in out[x]]) for x in self._listed()}
         return self._succ
+
+    def _listed(self):
+        # the states in the order that successor_map lists them
+        return self.states
 
     def successors(self, state: str) -> frozenset[str]:
         names = self._names
@@ -96,6 +78,46 @@ class FiniteCoalgebra:
         if i == len(names) or names[i] != state:
             raise UnknownStateError(f"unknown state {state!r}")
         return i
+
+    def __repr__(self):
+        return f"NumberedGraph({len(self.states)} states)"
+
+
+class FiniteCoalgebra(NumberedGraph):
+    """A finite state system: every state has an explicit structure entry.
+
+    Next to its carrier ``states`` and their ``structure``, a system keeps
+    its canonical graph, the view the kernels read (see
+    :class:`NumberedGraph`).
+    """
+
+    def __init__(self, container: Container, states: Iterable[str], structure: Mapping[str, HStructure]):
+        states = tuple(states)
+        structure = dict(structure)
+        carrier = _check_carrier(states, structure)
+        succ = {x: _successor_set(container, h, carrier.keys(), "structure of state", x) for x, h in structure.items()}
+        super().__init__(states, carrier, [tuple(map(carrier.__getitem__, succ[x])) for x in carrier])
+        self.container = container
+        self.structure = structure
+
+    @classmethod
+    def _trusted(cls, container, states: tuple, structure: dict, names, out):
+        # internal constructor for systems whose parts are already checked
+        # and not shared, with ``names`` sorted and ``out`` indexing into it
+        obj = cls.__new__(cls)
+        NumberedGraph.__init__(obj, states, names, out)
+        obj.container = container
+        obj.structure = structure
+        return obj
+
+    def _listed(self):
+        return self.structure  # in structure order
+
+    def structure_of(self, state: str) -> HStructure:
+        try:
+            return self.structure[state]
+        except KeyError:
+            raise UnknownStateError(f"unknown state {state!r}") from None
 
     def restrict(self, subset: Iterable[str]) -> "FiniteCoalgebra":
         """Restriction to a successor-closed subset, keeping carrier order."""
@@ -260,18 +282,18 @@ def least_subcoalgebra(coalg, seed: Iterable[str], budget: int):
     than ``budget`` states are visited before the closure stabilizes.
     """
     visited, closed = _closure(coalg, seed, budget)
-    if isinstance(coalg, FiniteCoalgebra):
+    if isinstance(coalg, NumberedGraph):
         visited = frozenset(map(coalg._names.__getitem__, visited))
     return visited if closed else BudgetExhausted(visited, budget)
 
 
 def _closure(coalg, seed: Iterable[str], budget: int) -> tuple[frozenset, bool]:
     """:func:`coalg.fixpoint.reach` from ``seed``, over the indices of a
-    finite system or the names of a lazy one."""
+    finite system (or its graph) or the names of a lazy one."""
     seed = set(seed)
     if budget < len(seed):
         raise InputError(f"budget {budget} is below the seed size {len(seed)}")
-    if isinstance(coalg, FiniteCoalgebra):
+    if isinstance(coalg, NumberedGraph):
         return reach(coalg._out.__getitem__, map(coalg._index, sorted(seed)), budget)
     return reach(coalg.successors, seed, budget)
 
@@ -399,16 +421,10 @@ def coalgebra_to_json(coalg: FiniteCoalgebra) -> dict:
     }
 
 
-def coalgebra_from_json(doc) -> FiniteCoalgebra:
-    """Decode and check a ``set-coalgebra`` document.
-
-    Each state's structure is checked against the functor, canonicalized and
-    its successors collected in one walk (see
-    :func:`coalg.containers.structure_decoder`).  Errors name the JSON path.
-    The entries of ``doc["structure"]`` are removed as they are decoded, so
-    the JSON of a decoded state can be freed at once; on success
-    ``doc["structure"]`` is left empty and the rest of ``doc`` unchanged.
-    """
+def _system_document(doc) -> tuple[Container, list, dict, dict]:
+    """The functor, states and structure entries of a ``set-coalgebra``
+    document, and its carrier numbered by :func:`_check_carrier`: the checks
+    that come before any structure is decoded, the same for every decoder."""
     check_header(doc, "set-coalgebra")
     for field in ("functor", "states", "structure"):
         if field not in doc:
@@ -420,6 +436,31 @@ def coalgebra_from_json(doc) -> FiniteCoalgebra:
     raw = doc["structure"]
     if not isinstance(raw, dict):
         raise InputError("$.structure: expected an object")
-    carrier = _check_carrier(states, raw, "$.states: ", "$.structure: ")
-    structure, succ = structure_decoder(container, carrier)(raw, "$.structure.")
-    return FiniteCoalgebra._trusted(container, tuple(states), structure, carrier, map(succ.__getitem__, carrier))
+    return container, states, raw, _check_carrier(states, raw, "$.states: ", "$.structure: ")
+
+
+def coalgebra_from_json(doc) -> FiniteCoalgebra:
+    """Decode and check a ``set-coalgebra`` document.
+
+    Each state's structure is checked against the functor, canonicalized and
+    its successors collected in one walk (see
+    :func:`coalg.containers.structure_decoder`).  Errors name the JSON path.
+    The entries of ``doc["structure"]`` are removed as they are decoded, so
+    the JSON of a decoded state can be freed at once; on success
+    ``doc["structure"]`` is left empty and the rest of ``doc`` unchanged.
+    """
+    container, states, raw, carrier = _system_document(doc)
+    structure, out = structure_decoder(container, carrier)(raw, "$.structure.")
+    return FiniteCoalgebra._trusted(container, tuple(states), structure, carrier, out)
+
+
+def graph_from_json(doc) -> NumberedGraph:
+    """The canonical graph of a ``set-coalgebra`` document.
+
+    It makes the checks of :func:`coalgebra_from_json`, in the same order
+    and with the same errors, through the decoder's graph walk, which builds
+    no structure value; ``doc["structure"]`` is emptied alike.
+    """
+    container, states, raw, carrier = _system_document(doc)
+    _, out = structure_decoder(container, carrier, values=False)(raw, "$.structure.")
+    return NumberedGraph(tuple(states), carrier, out)

@@ -304,8 +304,8 @@ def structure_to_json(h: HStructure):
 
 
 # ---------------------------------------------------------------------------
-# the two walks that check a value against its container, compiled once per
-# container
+# the walks that check a value against its container, compiled once per
+# container: the decoder, its graph walk, and support
 #
 # Each walk is Python source generated for one container, as records.py
 # generates methods: a function ``w<k>`` per distinct sub-container k runs
@@ -316,7 +316,10 @@ def structure_to_json(h: HStructure):
 # decoding JSON: w<k>(doc, refs, at, interned) is the value ``doc`` spells,
 # the indices of its states added to ``refs``; ``at`` gives the index of each
 # carrier name, and ``interned`` the StateRef at each index once it is made
-# (never at -1, the index of a name outside the carrier)
+# (never at -1, the index of a name outside the carrier, nor at an empty
+# name's).  The graph walk is this table with the lines marked ``# value``
+# left out: it makes the same checks, adds the same indices and builds no
+# value, and its ``interned`` holds True at each index that needs no check.
 _DECODE = dict(
     id=[
         's = x.get("state") if type(x) is dict and len(x) == 1 else None',
@@ -324,7 +327,7 @@ _DECODE = dict(
         "v = interned[i]",
         "if v is None: v = _intern(x, i, interned)",
     ],
-    ref=["refs.add(i)"],  # after a state, unless its parent (a set or a pair) adds them
+    ref=["refs.add(i)"],  # after a state, unless its parent (a pair) adds them
     const=[
         'l = x.get("const") if type(x) is dict and len(x) == 1 else None',
         "v = L{j}.get(l) if type(l) is str else None",
@@ -340,55 +343,57 @@ _DECODE = dict(
     try:
         if tag == "inl":
             {child}
-            return InL(v)
-        {right}
-        return InR(v)
-    except _Mismatch as exc: raise exc.at("." + tag)""",
+        else:
+            {right}
+    except _Mismatch as exc: raise exc.at("." + tag)
+    return InL(v) if tag == "inl" else InR(v)  # value""",
     product="""def w{k}(doc, refs, at, interned):
     body = _body(doc, "tuple")
     if type(body) is not list or len(body) != {n}: raise _Mismatch("expected a list of {n} values", ".tuple")
-    items = []
+    items = []  # value
     try:
-        for f, x in zip(wP{k}, body): items.append(f(x, refs, at, interned))
-    except _Mismatch as exc: raise exc.at(f".tuple[{{len(items)}}]")
-    return TupleOf(tuple(items))""",
+        for n, (f, x) in enumerate(zip(wP{k}, body)):
+            v = f(x, refs, at, interned)
+            items.append(v)  # value
+    except _Mismatch as exc: raise exc.at(f".tuple[{{n}}]")
+    return TupleOf(tuple(items))  # value""",
     finpow="""def w{k}(doc, refs, at, interned):
     body = doc["set"] if type(doc) is dict and len(doc) == 1 and "set" in doc else _body(doc, "set")
     if type(body) is not list: raise _Mismatch("expected a list", ".set")
-    items = {{}}  # sort key -> member
+    items = {{}}  # value: sort key -> member
     try:
         for n, x in enumerate(body):
             {child}
-            items[{key}] = v
+            items[{key}] = v  # value
     except _Mismatch as exc: raise exc.at(f".set[{{n}}]")
-    {refs}
-    return _canonical(items)""",
+    return _canonical(items)  # value""",
     exp="""def w{k}(doc, refs, at, interned):
     body = _body(doc, "fun")
     if type(body) is not dict or body.keys() != X{k}: raise _Mismatch(E{k}, ".fun")
-    items = {{}}
+    items = {{}}  # value
     try:
         for lbl, x in body.items():
             {child}
-            items[lbl] = v
+            items[lbl] = v  # value
     except _Mismatch as exc: raise exc.at(f".fun.{{lbl}}")
-    return FunOf(tuple([(l, items[l]) for l in S{k}]))""",
+    return FunOf(tuple([(l, items[l]) for l in S{k}]))  # value""",
     pairneq="""def w{k}(doc, refs, at, interned):
     if type(doc) is dict and len(doc) == 1 and "star" in doc:
         if doc["star"] is not None: raise _Mismatch("expected null", ".star")
         return STAR
     body = _body(doc, "pair", ("star", "pair"))
     if type(body) is not list or len(body) != 2: raise _Mismatch("expected [left, right]", ".pair")
-    pair, ids = [], []
+    pair = []  # value
+    ids = []
     try:
         for x in body:
             {child}
-            pair.append(v)
+            pair.append(v)  # value
             ids.append(i)
-    except _Mismatch as exc: raise exc.at(f".pair[{{len(pair)}}]")
-    if pair[0] is pair[1]: return STAR  # one StateRef per name; * references no state
+    except _Mismatch as exc: raise exc.at(f".pair[{{len(ids)}}]")
+    if ids[0] == ids[1]: return STAR  # * references no state
     refs.update(ids)
-    return Pair(*pair)""",
+    return Pair(*pair)  # value""",
 )
 
 # checking a value: w<k>(h, out) raises InputError unless ``h`` is a value
@@ -427,7 +432,13 @@ _SUPPORT = dict(
     elif type(h) is not Star: raise _shape_error(C{k}, h)""",
 )
 
-_WALKS = {"decode": _DECODE, "support": _SUPPORT}
+# the graph walk: the decoder's templates, less their lines marked # value
+_GRAPH = {
+    name: "\n".join(line for line in t.split("\n") if "  # value" not in line) if isinstance(t, str) else t
+    for name, t in _DECODE.items()
+}
+
+_WALKS = {"decode": _DECODE, "graph": _GRAPH, "support": _SUPPORT}
 
 
 def _compile(container, walk: str):
@@ -487,14 +498,14 @@ def _lines_source(table, k, nodes) -> list[str]:
         leaf = nodes[i][0]
         if leaf not in ("id", "const"):
             return [table["call"][0].format(j=i)]
-        # a set or a pair of states adds them to refs itself
-        ref = table.get("ref", []) if leaf == "id" and kind not in ("finpow", "pairneq") else []
+        # a pair of states adds them to refs itself, unless they are equal
+        ref = table.get("ref", []) if leaf == "id" and kind != "pairneq" else []
         return [line.format(j=i) for line in table[leaf] + ref]
 
     children = {"child": child(j), "right": child(kids[-1] if kids else k)}
     # a set's members sort by structure_key, a label as its name does
     key = table["key"].get(nodes[j][0], "structure_key(v)")
-    fields = dict(k=k, j=j, n=len(kids), key=key, refs="refs.update(items)" if key == "i" else "pass")
+    fields = dict(k=k, j=j, n=len(kids), key=key)
     out = []
     for line in table["leaf" if kind in ("id", "const") else kind].split("\n"):
         name = line.strip()[1:-1]
@@ -579,7 +590,7 @@ def _leaf_maker(walk: str, kind: str):
     return scope["make"]
 
 
-_LEAVES = {(walk, kind): _leaf_maker(walk, kind) for walk in ("decode", "support") for kind in ("id", "const")}
+_LEAVES = {(walk, kind): _leaf_maker(walk, kind) for walk in _WALKS for kind in ("id", "const")}
 
 
 def support(container: Container, h: HStructure) -> frozenset[str]:
@@ -600,32 +611,44 @@ def support(container: Container, h: HStructure) -> frozenset[str]:
     return frozenset(out)
 
 
-def structure_decoder(container: Container, carrier: dict):
+def structure_decoder(container: Container, carrier: dict, values: bool = True):
     """The one-pass decoder of the JSON values of ``container``.
 
     ``carrier`` maps each state name to its index: the names in sorted
     order, numbered from 0, so that a set of states sorts as its indices do.
-    ``decode(docs, where="$")`` decodes each value of the dict ``docs`` and
-    removes it there, and returns the values and their successors, keyed
-    alike: the successors of a value are the indices of its states, in a
-    tuple.  One walk of a document checks it against the container and its
-    state names against the carrier, and builds the canonical value that
-    :func:`structure_from_json` builds, with one ``StateRef`` per name.  An
-    error names the JSON path ``where``, then the key, then the steps in it.
+    ``decode(docs, where="$")`` decodes each value of the dict ``docs``,
+    whose keys are carrier names, and removes it there.  It returns
+    ``(values, out)``: the values keyed as in ``docs``, and the successors
+    of each carrier state, ``out[carrier[key]]`` the indices of the states
+    of the value at ``key``, in a tuple.  One walk of a document checks it
+    against the container and its state names against the carrier, and
+    builds the canonical value that :func:`structure_from_json` builds, with
+    one ``StateRef`` per name.  An error names the JSON path ``where``, then
+    the key, then the steps in it.
+
+    With ``values`` false the decoder runs the graph walk: the same checks
+    in the same order, with the same errors, and the same ``out``, but no
+    value is built, and ``values`` comes back None.
     """
-    root = _walk(container, "decode")
-    interned = [None] * (len(carrier) + 1)  # index -> its StateRef, made on first use
+    root = _walk(container, "decode" if values else "graph")
+    # index -> its StateRef, made on first use; the graph walk makes none, and
+    # holds True at every index but an empty name's, which _intern refuses
+    interned = [None if values else True] * len(carrier) + [None]
+    if not values and "" in carrier:
+        interned[carrier[""]] = None
 
     def decode(docs: dict, where: str = "$"):
-        values, successors = {}, {}
+        kept, out = {} if values else None, [()] * len(carrier)
         for key in list(docs):
             refs: set[int] = set()
             try:
-                values[key] = root(docs.pop(key), refs, carrier, interned)
+                v = root(docs.pop(key), refs, carrier, interned)
             except _Mismatch as exc:
                 raise exc.error(f"{where}{key}{''.join(reversed(exc.steps))}: {exc.msg}") from None
-            successors[key] = tuple(refs)
-        return values, successors
+            if values:
+                kept[key] = v
+            out[carrier[key]] = tuple(refs)
+        return kept, out
 
     return decode
 

@@ -30,6 +30,7 @@ from .coalgebras import (
     BudgetExhausted,
     FiniteCoalgebra,
     LazyCoalgebra,
+    NumberedGraph,
     _closure,
     _successor_set,
 )
@@ -78,7 +79,7 @@ class WfReport:
         }
 
 
-def well_founded_part(coalg: FiniteCoalgebra) -> WfReport:
+def well_founded_part(coalg: NumberedGraph) -> WfReport:
     """Least fixpoint of "all my successors are already in".
 
     A state's rank is one more than the maximum rank of its successors.
@@ -153,7 +154,7 @@ def koenig_extract(coalg, state: str, budget: int):
       cycle reachable from ``state``, proving the input not well-founded.
     """
     visited, closed = _closure(coalg, [state], budget)
-    finite = isinstance(coalg, FiniteCoalgebra)
+    finite = isinstance(coalg, NumberedGraph)
     closure = frozenset(map(coalg._names.__getitem__, visited)) if finite else visited
     if not closed:
         return BudgetExhausted(closure, budget)

@@ -1,14 +1,19 @@
+import ast
 import gc
 import json
 import os
 import subprocess
 import sys
 import time
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import coalg.cli as cli
 from coalg.cli import build_parser, export_dot, main
-from coalg.coalgebras import coalgebra_to_json
+from coalg.coalgebras import coalgebra_from_json, coalgebra_to_json
+from coalg.containers import SetOf, StateRef
 from coalg.gallery import (
     GALLERY,
     build_chain,
@@ -20,7 +25,17 @@ from coalg.gallery import (
 from coalg.initial_algebra import Signature
 from coalg.nominal import FRESH_CASE, NLTSSpec, Rule, Template
 
-from genutil import ROOT, convex_to_json, nlts_to_json, run_cli, signature_to_json
+from genutil import (
+    ROOT,
+    convex_to_json,
+    malformed,
+    nlts_to_json,
+    random_coalgebra,
+    random_wf_coalgebra,
+    rng_for,
+    run_cli,
+    signature_to_json,
+)
 
 
 GOLDEN = ROOT / "tests" / "golden"
@@ -592,6 +607,106 @@ class TestDeepJson:
         )
         assert main(["realize", "--sig", sig, "--structure", str(structure)]) == 3
         self.assert_names_the_limit(capsys)
+
+
+def finpow_system(edges):
+    return {
+        "version": 1, "kind": "set-coalgebra", "functor": {"finpow": {"id": None}}, "states": list(edges),
+        "structure": {x: {"set": [{"state": y} for y in out]} for x, out in edges.items()},
+    }
+
+
+class TestVerdictsReadTheGraph:
+    """check-wf, koenig and export-dot load a set-coalgebra file as its
+    canonical graph, with no structure value built; fold is the one command
+    that builds them."""
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        made = Counter()
+        for cls in (StateRef, SetOf):
+            def counted(self, *args, init=cls.__init__, name=cls.__name__):
+                made[name] += 1
+                init(self, *args)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        return made
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["check-wf", "dag", "--format", "json"], 0),
+            (["check-wf", "dag", "ring", "--format", "text"], 1),
+            (["koenig", "dag", "--state", "s0", "--format", "json"], 0),
+            (["koenig", "dag", "--state", "s0", "--budget", "2", "--format", "text"], 2),
+            (["koenig", "dag", "--state", "ghost", "--format", "json"], 3),
+            (["koenig", "ring", "--state", "r0", "--format", "text"], 1),
+            (["export-dot", "ring"], 0),
+        ],
+    )
+    def test_verdicts_build_no_structure_value(self, argv, code, made, tmp_path, capsys):
+        files = {
+            "dag": write(tmp_path, "dag.json", finpow_system({"s0": ["s1", "s2"], "s1": ["s3"], "s2": ["s3"], "s3": []})),
+            "ring": write(tmp_path, "ring.json", finpow_system({"r0": ["r1"], "r1": ["r0", "r2"], "r2": []})),
+        }
+        assert main([files.get(a, a) for a in argv]) == code
+        assert capsys.readouterr().out or code in (1, 3)
+        assert made == {}
+
+    def test_fold_builds_them(self, made, tmp_path, capsys):
+        path = write(tmp_path, "dag.json", finpow_system({"s0": ["s1", "s2"], "s1": ["s2"], "s2": []}))
+        assert main(["fold", path]) == 0
+        assert made == {"StateRef": 2, "SetOf": 3}  # one StateRef per name referenced
+        capsys.readouterr()
+
+    def test_only_fold_decodes_structure_values(self):
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        users = {
+            fn.name
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Name) and node.id == "coalgebra_from_json"
+        }
+        assert users == {"cmd_fold"}
+
+    def test_verdicts_match_the_full_decode(self, tmp_path, monkeypatch, capsys):
+        """Every verdict command gives the output and exit code it gives
+        when the file is decoded to its full system, also on malformed
+        files."""
+        load_input, rng = cli.load_input, rng_for(1818)
+
+        def full_decode(path, set_system=None):
+            return load_input(path, coalgebra_from_json)
+
+        codes = Counter()
+        for k in range(48):
+            system = (random_coalgebra if k % 2 else random_wf_coalgebra)(rng, 8, depth=3)
+            doc = coalgebra_to_json(system)
+            if k % 3 == 2:
+                x = rng.choice(system.states)
+                doc["structure"][x] = malformed(rng, doc["structure"][x], list(system.states))
+            path = write(tmp_path, "system.json", doc)
+            state = rng.choice(system.states)
+            runs = [["export-dot", path]] + [
+                argv + ["--format", fmt]
+                for fmt in ("json", "text")
+                for argv in (
+                    ["check-wf", path],
+                    ["koenig", path, "--state", state],
+                    ["koenig", path, "--state", state, "--budget", "2"],
+                    ["koenig", path, "--state", "ghost"],
+                )
+            ]
+            for argv in runs:
+                outputs = []
+                for load in (load_input, full_decode):
+                    monkeypatch.setattr(cli, "load_input", load)
+                    code = main(argv)
+                    outputs.append((*capsys.readouterr(), code))
+                assert outputs[0] == outputs[1], argv
+                codes[outputs[0][2]] += 1
+        assert min(codes[c] for c in range(4)) >= 10  # every exit code, each many times
 
 
 class TestClosedStdout:

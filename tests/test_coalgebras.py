@@ -484,8 +484,8 @@ class TestNameView:
     def test_commands_leave_it_unbuilt(self, argv, monkeypatch, tmp_path, capsys):
         import coalg.cli as cli
 
-        decoded = []
-        monkeypatch.setattr(cli, "coalgebra_from_json", lambda doc: decoded.append(coalgebra_from_json(doc)) or decoded[-1])
+        decoded, load_input = [], cli.load_input
+        monkeypatch.setattr(cli, "load_input", lambda *args: decoded.append(load_input(*args)[1]) or ("set-coalgebra", decoded[-1]))
         for edges in ({"s0": ["s1", "s10"], "s1": ["s10"], "s10": [], "s9": ["s0"]}, {"s0": ["s1"], "s1": ["s0"]}):
             path = tmp_path / "system.json"
             path.write_text(json.dumps(coalgebra_to_json(graph(edges))), encoding="utf-8")

@@ -37,7 +37,7 @@ from coalg.containers import (
     structure_to_json,
     support,
 )
-from coalg.errors import AnalysisError, InputError, UnknownStateError
+from coalg.errors import AnalysisError, DanglingRefError, InputError, UnknownStateError
 
 from coalg.wellfounded import solve_recursion
 
@@ -287,12 +287,18 @@ def scrambled(doc):
     return out
 
 
-def decode_one(container, carrier, doc, where="$"):
+def decode_one(container, carrier, doc, where="$", values=True):
     """``doc`` decoded alone by the decoder of a table of documents, with
-    its successors, positions in the sorted carrier, read back as names."""
-    names = sorted(carrier)
-    values, successors = structure_decoder(container, dict(zip(names, range(len(names)))))({"": doc}, where)
-    return values[""], frozenset(names[i] for i in successors[""])
+    its successors, positions in the sorted carrier, read back as names;
+    with ``values`` false, by the graph walk, which gives the successors
+    alone.  The table's one key is "", which joins the carrier, so that an
+    error's path is ``where`` and then the steps in ``doc``; both walks
+    refuse a reference to the empty name all the same."""
+    names = sorted(set(carrier) | {""})
+    at = dict(zip(names, range(len(names))))
+    decoded, out = structure_decoder(container, at, values)({"": doc}, where)
+    refs = frozenset(names[i] for i in out[at[""]])
+    return (decoded[""], refs) if values else refs
 
 
 class TestStructureDecoder:
@@ -327,10 +333,10 @@ class TestStructureDecoder:
         assert decode_one(PairNeq(), {"a"}, doc) == (STAR, frozenset())
 
     def test_equal_state_refs_are_shared(self):
-        decode = structure_decoder(Product((Identity(), Identity())), {"a": 0})
-        values, _ = decode({"x": {"tuple": [{"state": "a"}, {"state": "a"}]}})
-        assert values["x"].items[0] is values["x"].items[1]
-        assert decode({"y": {"tuple": [{"state": "a"}, {"state": "a"}]}})[0]["y"].items[0] is values["x"].items[0]
+        decode = structure_decoder(Product((Identity(), Identity())), {"a": 0, "b": 1})
+        values, _ = decode({"a": {"tuple": [{"state": "a"}, {"state": "a"}]}})
+        assert values["a"].items[0] is values["a"].items[1]
+        assert decode({"b": {"tuple": [{"state": "a"}, {"state": "a"}]}})[0]["b"].items[0] is values["a"].items[0]
 
     @pytest.mark.parametrize(
         "container, doc, error",
@@ -363,7 +369,7 @@ class TestStructureDecoder:
 
     def test_where_prefixes_the_path(self):
         with pytest.raises(InputError, match=r"^\$\.structure\.s\.set\[0\]\.state: "):
-            structure_decoder(GRAPH, {"a": 0})({"s": {"set": [{"state": "b"}]}}, "$.structure.")
+            structure_decoder(GRAPH, {"a": 0, "s": 1})({"s": {"set": [{"state": "b"}]}}, "$.structure.")
 
 
 class TestConstructors:
@@ -424,6 +430,9 @@ class TestCompiledWalks:
                 assert doc == reference_structure_to_json(container, h)
                 assert decode_one(container, set(states), doc) == reference(doc) == (h, support(container, h))
                 assert decode_one(container, set(states), scrambled(doc)) == reference(scrambled(doc))
+                # the graph walk gives the states alone
+                assert decode_one(container, set(states), doc, values=False) == support(container, h)
+                assert decode_one(container, set(states), scrambled(doc), values=False) == support(container, h)
                 f = {s: rng.choice(states) for s in states[: rng.randint(0, len(states))]}
                 assert outcome(hmap, container, f, h) == outcome(reference_hmap, container, f, h)
                 env = {s: rng.randrange(3) for s in rng.sample(states, rng.randint(0, len(states)))}
@@ -440,8 +449,42 @@ class TestCompiledWalks:
                 bad = malformed(rng, doc, states)
                 got = outcome(decode_one, container, set(states), bad, "$.structure.x")
                 assert got == outcome(reference_decoder(container, set(states)), bad, "$.structure.x")
+                graph = outcome(decode_one, container, set(states), bad, "$.structure.x", False)
+                assert graph == (got if isinstance(got[0], type) else got[1])
                 failed += isinstance(got[0], type)
         assert failed > 500  # most of the 900 documents are not values
+
+    @pytest.mark.parametrize(
+        "doc, expected",
+        [
+            ({"set": [{"pair": [{"state": "a"}, {"state": "a"}]}, {"star": None}]}, frozenset()),
+            ({"set": [{"pair": [{"state": "a"}, {"state": "b"}]}, {"pair": [{"state": "b"}, {"state": "b"}]}]}, {"a", "b"}),
+            ({"set": [{"star": None}, {"pair": [{"state": "a"}, {"state": ""}]}]}, (InputError, r"\$\.structure\.a\.set\[1\]\.pair\[1\]\.state: expected a non-empty string")),
+            ({"set": [{"pair": [{"state": "zz"}, {"state": "a"}]}]}, (DanglingRefError, r"\$\.structure\.a\.set\[0\]\.pair\[0\]\.state: 'zz' is not a carrier state")),
+        ],
+    )
+    def test_graph_walk_on_equal_pairs_the_empty_name_and_dangling_names(self, doc, expected):
+        """A pair of equal states adds no successor; a reference to "" is
+        refused as empty although "" is a carrier state; a name outside the
+        carrier is a dangling reference.  Both walks agree with the
+        reference decoder, twice over the same decoder."""
+        container, carrier = FinPow(PairNeq()), {"": 0, "a": 1, "b": 2}
+        reference = reference_decoder(container, set(carrier))
+        for values in (True, False):
+            decode = structure_decoder(container, carrier, values)
+            for _ in range(2):
+                if isinstance(expected, tuple):
+                    error, message = expected
+                    with pytest.raises(error, match=f"^{message}$"):
+                        decode({"a": json.loads(json.dumps(doc))}, "$.structure.")
+                    with pytest.raises(error, match=f"^{message}$"):
+                        reference(doc, "$.structure.a")
+                    continue
+                decoded, out = decode({"": {"set": []}, "a": json.loads(json.dumps(doc)), "b": {"set": []}})
+                names = sorted(carrier)
+                assert {names[i] for i in out[1]} == expected == reference(doc)[1]
+                assert out[0] == out[2] == ()
+                assert (decoded is None) == (not values)
 
     def test_non_values_are_refused_as_the_reference_refuses_them(self):
         cases = [

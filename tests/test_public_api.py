@@ -104,9 +104,10 @@ def test_no_package_function_runs_only_under_tests():
 # walk that checks a value against its container is generated by
 # ``containers._compile``, and any other joins this set with its reason
 CONTAINER_WALKS = {
-    # compiles the two walks that check a value against its container, the
-    # decoder and support; hmap, interpret, structure_to_json and the set
-    # order follow the value's own constructors, with no container
+    # compiles the walks that check a value against its container: the
+    # decoder, its graph walk (the decoder's lines that build no value) and
+    # support; hmap, interpret, structure_to_json and the set order follow
+    # the value's own constructors, with no container
     "_compile",
     "container_to_json",  # walks the container alone, with no value
     # walks interpret's shapes, not values; the benchmark's tracer wraps it by name
@@ -226,8 +227,9 @@ def test_sources_parse_as_python_3_10(monkeypatch):
     # every node kind, with Identity and Const children inlined into a parent
     container = Product((Identity(), Const(("u",)), Sum(FinPow(PairNeq()), Exp(Const(("v",)), ("x",)))))
     structure_decoder(container, ())
+    structure_decoder(container, (), values=False)
     with pytest.raises(InputError):
         support(container, None)
-    assert len(generated) == 4  # two records and two walks
+    assert len(generated) == 5  # two records and three walks
     for source in sources + generated:
         ast.parse(source, feature_version=(3, 10))
