@@ -101,7 +101,8 @@ def load_input(path: str, set_system=graph_from_json):
 
     A ``set-coalgebra`` file is decoded by ``set_system``: by default to
     its canonical graph, all that the verdict commands read, with no
-    structure value built; ``fold`` passes :func:`coalgebra_from_json`."""
+    structure value built; ``fold`` passes a decoder that builds them where
+    its algebra reads them."""
     if path.startswith("gallery:"):
         entry = gallery.get_entry(path.split(":", 1)[1])
         obj = entry.build()
@@ -234,19 +235,26 @@ def _shape_to_jsonable(container, shape):
     return convert(container, shape)
 
 
+def _built_in_algebra(name: str, container):
+    if name == "induction":
+        return induction_algebra(container)
+    if name == "count":
+        return count_algebra(container)
+    if name == "term":
+        return unfold_algebra(container)
+    raise InputError(f"unknown built-in algebra {name!r}")
+
+
 def cmd_fold(path: str, config: argparse.Namespace) -> int:
-    kind, obj = load_input(path, coalgebra_from_json)
+    # a file is decoded in full only if the algebra reads structure values,
+    # which depends on the functor alone (see Algebra.eval_successors)
+    def reads_values(container) -> bool:
+        return _built_in_algebra(config.algebra, container).eval_successors is None
+
+    kind, obj = load_input(path, lambda doc: coalgebra_from_json(doc, reads_values))
     if kind != "set-coalgebra" or isinstance(obj, LazyCoalgebra):
         raise InputError("fold needs a finite set-coalgebra input")
-    if config.algebra == "induction":
-        alg = induction_algebra(obj.container)
-    elif config.algebra == "count":
-        alg = count_algebra(obj.container)
-    elif config.algebra == "term":
-        alg = unfold_algebra(obj.container)
-    else:
-        raise InputError(f"unknown built-in algebra {config.algebra!r}")
-    values = solve_recursion(obj, alg)
+    values = solve_recursion(obj, _built_in_algebra(config.algebra, obj.container))
     converted = {x: values[x] for x in obj.states}  # ints, printed as they come
     lines = (f"{x} = {v}" for x, v in converted.items())
     try:

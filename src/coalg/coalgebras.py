@@ -17,6 +17,7 @@ from .containers import (
     HStructure,
     container_from_json,
     container_to_json,
+    has_pairneq,
     hmap,
     structure_decoder,
     structure_to_json,
@@ -39,17 +40,19 @@ class NumberedGraph:
     states: all that the system's well-foundedness and its finite
     well-founded subsystems depend on, for a set functor.
 
-    ``states`` is the carrier in the order given, ``_names`` the states in
-    sorted order, and ``_out`` each one's successors as a tuple of indices
-    into ``_names``.  Index order is name order, so a least index, a sorted
-    list of indices and a sorted frontier of :func:`coalg.fixpoint.reach`
-    name the states that the names themselves would.  ``successor_map``,
+    ``container`` is the system's functor, ``states`` the carrier in the
+    order given, ``_names`` the states in sorted order, and ``_out`` each
+    one's successors as a tuple of indices into ``_names``.  Index order is
+    name order, so a least index, a sorted list of indices and a sorted
+    frontier of :func:`coalg.fixpoint.reach` name the states that the names
+    themselves would.  ``successor_map``,
     the view by name, is built on its first read and kept in ``_succ``.
     The constructor trusts its parts: ``names`` sorted, ``out`` indexing
     into it.
     """
 
-    def __init__(self, states: tuple, names, out):
+    def __init__(self, container: Container, states: tuple, names, out):
+        self.container = container
         self.states = states
         self._names = tuple(names)
         self._out = tuple(out)
@@ -60,12 +63,8 @@ class NumberedGraph:
         if self._succ is None:
             names = self._names
             out = dict(zip(names, self._out))
-            self._succ = {x: frozenset([names[i] for i in out[x]]) for x in self._listed()}
+            self._succ = {x: frozenset([names[i] for i in out[x]]) for x in self.states}
         return self._succ
-
-    def _listed(self):
-        # the states in the order that successor_map lists them
-        return self.states
 
     def successors(self, state: str) -> frozenset[str]:
         names = self._names
@@ -80,14 +79,14 @@ class NumberedGraph:
         return i
 
     def __repr__(self):
-        return f"NumberedGraph({len(self.states)} states)"
+        return f"NumberedGraph({len(self.states)} states over {self.container!r})"
 
 
 class FiniteCoalgebra(NumberedGraph):
     """A finite state system: every state has an explicit structure entry.
 
-    Next to its carrier ``states`` and their ``structure``, a system keeps
-    its canonical graph, the view the kernels read (see
+    Next to its functor, its carrier ``states`` and their ``structure``, a
+    system keeps its canonical graph, the view the kernels read (see
     :class:`NumberedGraph`).
     """
 
@@ -96,8 +95,7 @@ class FiniteCoalgebra(NumberedGraph):
         structure = dict(structure)
         carrier = _check_carrier(states, structure)
         succ = {x: _successor_set(container, h, carrier.keys(), "structure of state", x) for x, h in structure.items()}
-        super().__init__(states, carrier, [tuple(map(carrier.__getitem__, succ[x])) for x in carrier])
-        self.container = container
+        super().__init__(container, states, carrier, [tuple(map(carrier.__getitem__, succ[x])) for x in carrier])
         self.structure = structure
 
     @classmethod
@@ -105,13 +103,9 @@ class FiniteCoalgebra(NumberedGraph):
         # internal constructor for systems whose parts are already checked
         # and not shared, with ``names`` sorted and ``out`` indexing into it
         obj = cls.__new__(cls)
-        NumberedGraph.__init__(obj, states, names, out)
-        obj.container = container
+        NumberedGraph.__init__(obj, container, states, names, out)
         obj.structure = structure
         return obj
-
-    def _listed(self):
-        return self.structure  # in structure order
 
     def structure_of(self, state: str) -> HStructure:
         try:
@@ -342,12 +336,30 @@ class Algebra:
     :func:`coalg.containers.interpret` (identity slots already replaced by
     carrier values) and returns a carrier value.  Carrier values are opaque;
     equality is Python ``==``.
+
+    ``eval_successors``, if given, is the same eval as a function of the
+    list of a state's successors' values, one per successor, so that
+    :func:`coalg.wellfounded.solve_recursion` can run on the canonical
+    graph alone.  It is sound only where eval reads nothing of a shape but
+    the set of values in its state slots, and the container has no
+    ``PairNeq`` node: then those values are exactly the values of the
+    successors, supp(c(x)).  Under ``PairNeq`` they are not, as a pair of
+    distinct successors whose values are equal collapses to ``*``, which
+    has no slot: the support map is natural only for functors that
+    preserve preimages, and the distinct-pair functor does not.
     """
 
-    def __init__(self, container: Container, eval_fn: Callable, name: Optional[str] = None):
+    def __init__(
+        self,
+        container: Container,
+        eval_fn: Callable,
+        name: Optional[str] = None,
+        eval_successors: Optional[Callable[[list], object]] = None,
+    ):
         self.container = container
         self.eval_fn = eval_fn
         self.name = name
+        self.eval_successors = eval_successors
 
     def eval(self, shape):
         return self.eval_fn(shape)
@@ -375,6 +387,18 @@ def _int_values(shape) -> list[int]:
     return out
 
 
+def _slot_algebra(container: Container, of_values: Callable[[list], int], name: str) -> Algebra:
+    """The algebra that evaluates a shape to ``of_values`` of its state
+    values; it evaluates on successors' values too unless the container
+    has a ``PairNeq`` node (see :class:`Algebra`)."""
+    return Algebra(
+        container,
+        lambda shape: of_values(_int_values(shape)),
+        name,
+        None if has_pairneq(container) else of_values,
+    )
+
+
 def induction_algebra(container: Container) -> Algebra:
     """The 0/1 algebra of the induction principle.
 
@@ -382,20 +406,12 @@ def induction_algebra(container: Container) -> Algebra:
     is 1; in particular the empty set and the collapsed point evaluate
     to 1, and any occurrence of 0 forces 0.
     """
-
-    def ev(shape):
-        return 1 if all(v == 1 for v in _int_values(shape)) else 0
-
-    return Algebra(container, ev, name="induction")
+    return _slot_algebra(container, lambda values: 1 if all(v == 1 for v in values) else 0, "induction")
 
 
 def count_algebra(container: Container) -> Algebra:
     """Height algebra: 1 + max over state values, with leaves at 0."""
-
-    def ev(shape):
-        return 1 + max(_int_values(shape), default=-1)
-
-    return Algebra(container, ev, name="count")
+    return _slot_algebra(container, lambda values: 1 + max(values, default=-1), "count")
 
 
 def unfold_algebra(container: Container) -> Algebra:
@@ -439,7 +455,7 @@ def _system_document(doc) -> tuple[Container, list, dict, dict]:
     return container, states, raw, _check_carrier(states, raw, "$.states: ", "$.structure: ")
 
 
-def coalgebra_from_json(doc) -> FiniteCoalgebra:
+def coalgebra_from_json(doc, full: Callable[[Container], bool] = lambda container: True) -> NumberedGraph:
     """Decode and check a ``set-coalgebra`` document.
 
     Each state's structure is checked against the functor, canonicalized and
@@ -448,19 +464,22 @@ def coalgebra_from_json(doc) -> FiniteCoalgebra:
     The entries of ``doc["structure"]`` are removed as they are decoded, so
     the JSON of a decoded state can be freed at once; on success
     ``doc["structure"]`` is left empty and the rest of ``doc`` unchanged.
+
+    The result is a :class:`FiniteCoalgebra` if ``full`` holds of the
+    functor, which is read before any structure is, and otherwise the
+    system's canonical graph alone, decoded through the graph walk: the
+    same checks in the same order, with the same errors, and no structure
+    value built.
     """
     container, states, raw, carrier = _system_document(doc)
-    structure, out = structure_decoder(container, carrier)(raw, "$.structure.")
-    return FiniteCoalgebra._trusted(container, tuple(states), structure, carrier, out)
+    values = full(container)
+    structure, out = structure_decoder(container, carrier, values)(raw, "$.structure.")
+    if values:
+        return FiniteCoalgebra._trusted(container, tuple(states), structure, carrier, out)
+    return NumberedGraph(container, tuple(states), carrier, out)
 
 
 def graph_from_json(doc) -> NumberedGraph:
-    """The canonical graph of a ``set-coalgebra`` document.
-
-    It makes the checks of :func:`coalgebra_from_json`, in the same order
-    and with the same errors, through the decoder's graph walk, which builds
-    no structure value; ``doc["structure"]`` is emptied alike.
-    """
-    container, states, raw, carrier = _system_document(doc)
-    _, out = structure_decoder(container, carrier, values=False)(raw, "$.structure.")
-    return NumberedGraph(tuple(states), carrier, out)
+    """The canonical graph of a ``set-coalgebra`` document (see
+    :func:`coalgebra_from_json`)."""
+    return coalgebra_from_json(doc, lambda container: False)

@@ -449,18 +449,7 @@ def _compile(container, walk: str):
     nodes, todo = [], [container]
     while todo:
         c = todo[-1]
-        kind, kids, labels = (
-            ("id", (), ()) if isinstance(c, Identity)
-            else ("const", (), c.labels) if isinstance(c, Const)
-            else ("sum", (c.left, c.right), ()) if isinstance(c, Sum)
-            else ("product", c.parts, ()) if isinstance(c, Product)
-            else ("finpow", (c.inner,), ()) if isinstance(c, FinPow)
-            else ("exp", (c.base,), c.exponent) if isinstance(c, Exp)
-            else ("pairneq", (_IDENTITY,), ()) if isinstance(c, PairNeq)  # its two state slots
-            else (None, (), ())
-        )
-        if kind is None:
-            raise InputError(f"unknown container: {c!r}")
+        kind, kids, labels = _node(c)
         new = [x for x in kids if id(x) not in at]
         todo += new
         if not new and id(todo.pop()) not in at:
@@ -487,6 +476,39 @@ def _compile(container, walk: str):
         if kind == "product":
             scope[f"wP{k}"] = tuple(scope[f"w{j}"] for j in kids)
     return scope[f"w{len(nodes) - 1}"]
+
+
+def _node(c) -> tuple[str, tuple, tuple]:
+    """The kind of the container node ``c``, its children and its labels."""
+    if isinstance(c, Identity):
+        return "id", (), ()
+    if isinstance(c, Const):
+        return "const", (), c.labels
+    if isinstance(c, Sum):
+        return "sum", (c.left, c.right), ()
+    if isinstance(c, Product):
+        return "product", c.parts, ()
+    if isinstance(c, FinPow):
+        return "finpow", (c.inner,), ()
+    if isinstance(c, Exp):
+        return "exp", (c.base,), c.exponent
+    if isinstance(c, PairNeq):
+        return "pairneq", (_IDENTITY,), ()  # its two state slots
+    raise InputError(f"unknown container: {c!r}")
+
+
+def has_pairneq(container: Container) -> bool:
+    """True iff ``container`` has a ``PairNeq`` node, the one node whose
+    values can drop a state slot when states are replaced by values: a pair
+    of distinct states collapses to ``*`` once their values are equal."""
+    seen, todo = set(), [container]
+    while todo:
+        kind, kids, _ = _node(todo.pop())
+        if kind == "pairneq":
+            return True
+        todo += [x for x in kids if id(x) not in seen]
+        seen.update(map(id, kids))
+    return False
 
 
 def _lines_source(table, k, nodes) -> list[str]:

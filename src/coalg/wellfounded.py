@@ -177,7 +177,7 @@ def koenig_extract(coalg, state: str, budget: int):
 # recursion
 
 
-def solve_recursion(coalg: FiniteCoalgebra, alg: Algebra) -> dict[str, object]:
+def solve_recursion(coalg: NumberedGraph, alg: Algebra) -> dict[str, object]:
     """Structural recursion h(x) = eval(structure(x)[successors := h]).
 
     Built by induction along the rank: each state is evaluated once, in
@@ -185,6 +185,15 @@ def solve_recursion(coalg: FiniteCoalgebra, alg: Algebra) -> dict[str, object]:
     raises :class:`CycleError` naming a state on a transition cycle, and
     evaluates nothing; this does *not* prove the system has no solution
     (see :func:`integer_ladder_recursion`).
+
+    An algebra with ``eval_successors``, which the built-in ``count`` and
+    ``induction`` have over a container with no ``PairNeq`` node, is
+    evaluated on the canonical graph alone: each state on the list of its
+    successors' values, with no shape built.  Any other algebra reads the
+    ``structure`` of a :class:`FiniteCoalgebra` through
+    :func:`coalg.containers.interpret`: under ``PairNeq`` a pair of
+    distinct successors with equal values collapses to ``*``, so the
+    values in a shape's slots are not those of the successors.
     """
     if alg.container != coalg.container:
         raise ContainerMismatchError(
@@ -194,6 +203,12 @@ def solve_recursion(coalg: FiniteCoalgebra, alg: Algebra) -> dict[str, object]:
     rank, order = least_fixpoint(out)
     if len(order) < len(out):
         raise CycleError(names[_cycle_state(out, rank)])
+    of_successors = alg.eval_successors
+    if of_successors is not None:
+        value = [None] * len(out)
+        for i in order:
+            value[i] = of_successors([value[j] for j in out[i]])
+        return {names[i]: value[i] for i in order}
     values: dict[str, object] = {}
     container, structure = coalg.container, coalg.structure
     for x in map(names.__getitem__, order):

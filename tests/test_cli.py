@@ -12,7 +12,7 @@ import pytest
 
 import coalg.cli as cli
 from coalg.cli import build_parser, export_dot, main
-from coalg.coalgebras import coalgebra_from_json, coalgebra_to_json
+from coalg.coalgebras import Algebra, coalgebra_from_json, coalgebra_to_json, count_algebra, induction_algebra
 from coalg.containers import SetOf, StateRef
 from coalg.gallery import (
     GALLERY,
@@ -616,10 +616,25 @@ def finpow_system(edges):
     }
 
 
+# x -> (y, z) with y, z -> *: y and z both fold to 0 under count, so the
+# pair collapses to * and x folds to 0, not to the 1 of its two successors
+COLLAPSING_PAIR = {
+    "version": 1, "kind": "set-coalgebra", "functor": {"pairneq": None}, "states": ["x", "y", "z"],
+    "structure": {"x": {"pair": [{"state": "y"}, {"state": "z"}]}, "y": {"star": None}, "z": {"star": None}},
+}
+
+
+def interpreting(make):
+    """A built-in algebra factory whose algebras have no successor eval, so
+    that solve_recursion interprets every shape."""
+    return lambda c: Algebra(c, make(c).eval_fn, make(c).name)
+
+
 class TestVerdictsReadTheGraph:
     """check-wf, koenig and export-dot load a set-coalgebra file as its
-    canonical graph, with no structure value built; fold is the one command
-    that builds them."""
+    canonical graph, with no structure value built; so do fold --algebra
+    count and induction over a functor with no pairneq node.  The other
+    folds build them."""
 
     @pytest.fixture
     def made(self, monkeypatch):
@@ -653,11 +668,41 @@ class TestVerdictsReadTheGraph:
         assert capsys.readouterr().out or code in (1, 3)
         assert made == {}
 
-    def test_fold_builds_them(self, made, tmp_path, capsys):
-        path = write(tmp_path, "dag.json", finpow_system({"s0": ["s1", "s2"], "s1": ["s2"], "s2": []}))
-        assert main(["fold", path]) == 0
+    @pytest.fixture
+    def interpreted(self, monkeypatch):
+        import coalg.wellfounded as wellfounded
+
+        shapes = []
+        interpret = wellfounded.interpret
+        monkeypatch.setattr(wellfounded, "interpret", lambda *args: shapes.append(args) or interpret(*args))
+        return shapes
+
+    def dag(self, tmp_path):
+        return write(tmp_path, "dag.json", finpow_system({"s0": ["s1", "s2"], "s1": ["s2"], "s2": []}))
+
+    def test_fold_builds_them(self, made, interpreted, tmp_path, capsys):
+        assert main(["fold", self.dag(tmp_path), "--algebra", "term"]) == 0
         assert made == {"StateRef": 2, "SetOf": 3}  # one StateRef per name referenced
+        assert len(interpreted) == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "algebra, out",
+        [("count", "s0 = 2\ns1 = 1\ns2 = 0\n"), ("induction", "s0 = 1\ns1 = 1\ns2 = 1\n")],
+        ids=["count", "induction"],
+    )
+    def test_count_and_induction_fold_the_graph(self, algebra, out, made, interpreted, tmp_path, capsys):
+        assert main(["fold", self.dag(tmp_path), "--algebra", algebra]) == 0
+        assert capsys.readouterr().out == out
+        assert made == {}
+        assert interpreted == []
+
+    def test_fold_over_pairneq_interprets_the_collapsed_pair(self, made, interpreted, tmp_path, capsys):
+        path = write(tmp_path, "pair.json", COLLAPSING_PAIR)
+        assert main(["fold", path, "--algebra", "count"]) == 0
+        assert capsys.readouterr().out == "x = 0\ny = 0\nz = 0\n"
+        assert made == {"StateRef": 2}
+        assert len(interpreted) == 3
 
     def test_only_fold_decodes_structure_values(self):
         tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
@@ -669,15 +714,28 @@ class TestVerdictsReadTheGraph:
             if isinstance(node, ast.Name) and node.id == "coalgebra_from_json"
         }
         assert users == {"cmd_fold"}
+        # and it passes the test of the functor that picks the walk
+        calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "coalgebra_from_json"]
+        assert [len(call.args) for call in calls] == [2]
 
     def test_verdicts_match_the_full_decode(self, tmp_path, monkeypatch, capsys):
-        """Every verdict command gives the output and exit code it gives
-        when the file is decoded to its full system, also on malformed
+        """Every verdict command, and fold with each built-in algebra, gives
+        the output and exit code it gives when the file is decoded to its
+        full system and every shape is interpreted, also on malformed
         files."""
         load_input, rng = cli.load_input, rng_for(1818)
 
         def full_decode(path, set_system=None):
             return load_input(path, coalgebra_from_json)
+
+        ways = [
+            {"load_input": load_input, "count_algebra": count_algebra, "induction_algebra": induction_algebra},
+            {
+                "load_input": full_decode,
+                "count_algebra": interpreting(count_algebra),
+                "induction_algebra": interpreting(induction_algebra),
+            },
+        ]
 
         codes = Counter()
         for k in range(48):
@@ -696,12 +754,16 @@ class TestVerdictsReadTheGraph:
                     ["koenig", path, "--state", state],
                     ["koenig", path, "--state", state, "--budget", "2"],
                     ["koenig", path, "--state", "ghost"],
+                    ["fold", path, "--algebra", "count"],
+                    ["fold", path, "--algebra", "induction"],
+                    ["fold", path, "--algebra", "term"],
                 )
             ]
             for argv in runs:
                 outputs = []
-                for load in (load_input, full_decode):
-                    monkeypatch.setattr(cli, "load_input", load)
+                for way in ways:
+                    for name, value in way.items():
+                        monkeypatch.setattr(cli, name, value)
                     code = main(argv)
                     outputs.append((*capsys.readouterr(), code))
                 assert outputs[0] == outputs[1], argv

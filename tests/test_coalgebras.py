@@ -445,7 +445,7 @@ class TestNameView:
             for coalg in (system, coalgebra_from_json(coalgebra_to_json(system))):
                 assert coalg._succ is None
                 assert coalg.successor_map == supports_by_state(coalg)
-                assert list(coalg.successor_map) == list(coalg.structure)
+                assert list(coalg.successor_map) == list(coalg.states)
                 assert all(coalg.successors(x) == coalg.successor_map[x] for x in coalg.states)
             count += 1
         assert count > 512 + 150

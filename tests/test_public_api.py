@@ -104,11 +104,13 @@ def test_no_package_function_runs_only_under_tests():
 # walk that checks a value against its container is generated by
 # ``containers._compile``, and any other joins this set with its reason
 CONTAINER_WALKS = {
-    # compiles the walks that check a value against its container: the
-    # decoder, its graph walk (the decoder's lines that build no value) and
-    # support; hmap, interpret, structure_to_json and the set order follow
-    # the value's own constructors, with no container
-    "_compile",
+    # the kind, children and labels of one container node, read by _compile,
+    # which compiles the walks that check a value against its container (the
+    # decoder, its graph walk, which is the decoder's lines that build no
+    # value, and support), and by has_pairneq; hmap, interpret,
+    # structure_to_json and the set order follow the value's own
+    # constructors, with no container
+    "_node",
     "container_to_json",  # walks the container alone, with no value
     # walks interpret's shapes, not values; the benchmark's tracer wraps it by name
     "_shape_to_jsonable",

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from collections.abc import Mapping
 
 import pytest
@@ -7,8 +8,10 @@ from coalg.coalgebras import (
     Algebra,
     BudgetExhausted,
     FiniteCoalgebra,
+    coalgebra_to_json,
     coproduct_extension,
     count_algebra,
+    graph_from_json,
     induction_algebra,
     is_cartesian_subcoalgebra,
     is_subcoalgebra,
@@ -17,6 +20,7 @@ from coalg.containers import (
     FinPow,
     Identity,
     PairNeq,
+    has_pairneq,
     STAR,
     StateRef,
     make_pair,
@@ -428,6 +432,58 @@ class TestSolveRecursion:
             x = info.value.state
             succ = coalg.successor_map.__getitem__
             assert x in reach(succ, succ(x))[0]
+
+
+def solved(coalg, alg):
+    """solve_recursion's values, or the state its CycleError names."""
+    try:
+        return solve_recursion(coalg, alg)
+    except CycleError as exc:
+        return exc.state
+
+
+class TestFoldOnTheGraph:
+    """count and induction over a functor with no pairneq node evaluate on
+    the canonical graph, each state on its successors' values; that gives
+    the values that interpreting every shape with the same eval gives."""
+
+    def systems(self):
+        import coalg.gallery as gallery
+
+        rng = rng_for(307)
+        for k in range(240):
+            coalg = (random_coalgebra if k % 2 else random_wf_coalgebra)(rng, 8, depth=1 + k % 3)
+            if not has_pairneq(coalg.container):
+                yield coalg
+        for _ in range(40):
+            yield random_graph(rng, rng.randint(1, 10), density=rng.choice([0.05, 0.15, 0.3]))
+        for name in gallery.gallery_names():
+            system = gallery.GALLERY[name].build()
+            if isinstance(system, FiniteCoalgebra):
+                yield system
+
+    def test_the_graph_gives_the_interpreted_values(self):
+        seen = Counter()
+        for system in self.systems():
+            graph = graph_from_json(coalgebra_to_json(system))
+            for make in (count_algebra, induction_algebra):
+                alg = make(system.container)
+                if has_pairneq(system.container):  # the ladder window
+                    assert alg.eval_successors is None
+                    continue
+                expected = solved(system, Algebra(system.container, alg.eval_fn))
+                assert solved(system, alg) == solved(graph, alg) == expected
+                seen[type(expected)] += 1
+        assert seen[dict] > 200 and seen[str] > 60, seen
+
+    def test_count_is_rank_minus_one_and_induction_is_one(self):
+        for system in self.systems():
+            report = well_founded_part(system)
+            if has_pairneq(system.container) or not report.is_well_founded:
+                continue
+            graph = graph_from_json(coalgebra_to_json(system))
+            assert solve_recursion(graph, count_algebra(graph.container)) == {x: r - 1 for x, r in report.rank.items()}
+            assert set(solve_recursion(graph, induction_algebra(graph.container)).values()) == {1}
 
 
 class TestExtendRecursion:
