@@ -12,40 +12,42 @@ from __future__ import annotations
 
 import argparse
 import gc
+import importlib.util
 import json
 import os
 import sys
 
-from . import gallery
-from .coalgebras import (
-    BudgetExhausted,
-    LazyCoalgebra,
-    coalgebra_from_json,
-    coalgebra_to_json,
-    count_algebra,
-    graph_from_json,
-    induction_algebra,
-    unfold_algebra,
-)
-from .containers import Const, Exp, FinPow, Identity, Product, Star, Sum
-from .convex import convex_from_json, convex_wf_fixpoint
 from .errors import AnalysisError, InputError, NotWellFoundedError
-from .initial_algebra import (
-    Term,
-    parse_term,
-    signature_from_json,
-    realize_hstructure,
-    term_realization_report,
-    unfold_to_term,
-)
-from .nominal import (
-    nlts_from_json,
-    nominal_koenig_extract,
-    nominal_wf_labels,
-    orbit_graph,
-    state_from_text,
-)
-from .wellfounded import koenig_extract, solve_recursion, well_founded_part
+
+
+def _lazy(name: str):
+    """The submodule ``name`` of this package, registered now and run on its
+    first attribute access (the "Implementing lazy imports" recipe of
+    importlib), so that each command runs only the back-end it uses.  A
+    module already imported is returned as it is.  A lazy module runs on
+    first access without a lock: only the command line, which is
+    single-threaded, binds modules this way."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        # bound on the package, as an import binds it, so that a
+        # "from . import name" (as in gallery) finds it without running it
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+coalgebras = _lazy("coalgebras")
+containers = _lazy("containers")
+wellfounded = _lazy("wellfounded")
+convex = _lazy("convex")
+nominal = _lazy("nominal")
+initial_algebra = _lazy("initial_algebra")
+gallery = _lazy("gallery")
 
 EXIT_OK = 0
 EXIT_NOT_WF = 1
@@ -96,13 +98,13 @@ def _read_json(path: str):
         raise InputError(f"{path}: JSON nested too deeply (the limit is about {limit} levels)") from None
 
 
-def load_input(path: str, set_system=graph_from_json):
+def load_input(path: str, set_system=None):
     """Returns (kind, object).  ``gallery:<name>`` addresses a fixture.
 
-    A ``set-coalgebra`` file is decoded by ``set_system``: by default to
-    its canonical graph, all that the verdict commands read, with no
-    structure value built; ``fold`` passes a decoder that builds them where
-    its algebra reads them."""
+    A ``set-coalgebra`` file is decoded by ``set_system``, by default
+    ``graph_from_json``: to its canonical graph, all that the verdict
+    commands read, with no structure value built; ``fold`` passes a decoder
+    that builds them where its algebra reads them."""
     if path.startswith("gallery:"):
         entry = gallery.get_entry(path.split(":", 1)[1])
         obj = entry.build()
@@ -113,13 +115,13 @@ def load_input(path: str, set_system=graph_from_json):
         raise InputError(f"{path}: expected a JSON object with a 'kind' field")
     kind = doc["kind"]
     if kind == "set-coalgebra":
-        return kind, set_system(doc)
+        return kind, (set_system or coalgebras.graph_from_json)(doc)
     if kind == "nlts":
-        return kind, nlts_from_json(doc)
+        return kind, nominal.nlts_from_json(doc)
     if kind == "convex":
-        return kind, convex_from_json(doc)
+        return kind, convex.convex_from_json(doc)
     if kind == "signature":
-        return kind, signature_from_json(doc)
+        return kind, initial_algebra.signature_from_json(doc)
     raise InputError(f"{path}: unknown kind {kind!r}")
 
 
@@ -141,14 +143,14 @@ def cmd_check_wf_many(paths, config: argparse.Namespace) -> int:
 def cmd_check_wf(path: str, config: argparse.Namespace) -> int:
     kind, obj = load_input(path)
     if kind == "set-coalgebra":
-        if isinstance(obj, LazyCoalgebra):
+        if isinstance(obj, coalgebras.LazyCoalgebra):
             raise InputError("check-wf needs a finite carrier; use koenig for lazy systems")
-        doc = well_founded_part(obj).to_json()
+        doc = wellfounded.well_founded_part(obj).to_json()
     elif kind == "nlts":
-        wf_labels = nominal_wf_labels(obj)
+        wf_labels = nominal.nominal_wf_labels(obj)
         doc = {"wellFounded": len(wf_labels) == len(obj.labels), "wfLabels": sorted(wf_labels)}
     elif kind == "convex":
-        doc = convex_wf_fixpoint(obj).to_json()
+        doc = convex.convex_wf_fixpoint(obj).to_json()
     else:
         raise InputError(f"check-wf does not apply to kind {kind!r}")
     _emit(doc, config, _check_wf_lines(doc))
@@ -168,17 +170,17 @@ def cmd_koenig(path: str, config: argparse.Namespace) -> int:
     kind, obj = load_input(path)
     code = EXIT_OK
     if kind == "set-coalgebra":
-        result = koenig_extract(obj, config.state, config.budget)
-        if isinstance(result, BudgetExhausted):
+        result = wellfounded.koenig_extract(obj, config.state, config.budget)
+        if isinstance(result, coalgebras.BudgetExhausted):
             doc = {"budgetExhausted": True, "budget": result.budget, "visited": len(result.visited)}
             code = EXIT_BUDGET
         else:
             doc = {"state": config.state, "subcoalgebra": sorted(result), "size": len(result)}
     elif kind == "nlts":
-        labels = nominal_koenig_extract(obj, state_from_text(config.state))
+        labels = nominal.nominal_koenig_extract(obj, nominal.state_from_text(config.state))
         doc = {"state": config.state, "labels": sorted(labels)}
     elif kind == "convex":
-        report = convex_wf_fixpoint(obj)
+        report = convex.convex_wf_fixpoint(obj)
         if not report.is_well_founded:
             raise NotWellFoundedError(
                 f"generators {sorted(report.non_wf)} admit infinite paths"
@@ -215,20 +217,20 @@ def _shape_to_jsonable(container, shape):
     unfolding, itself a value of ``container``."""
 
     def convert(c, v):
-        if isinstance(c, Identity):
+        if isinstance(c, containers.Identity):
             return convert(container, v)
-        if isinstance(c, Const):
+        if isinstance(c, containers.Const):
             return v
-        if isinstance(c, Sum):
+        if isinstance(c, containers.Sum):
             tag, inner = v
             return {tag: convert(c.left if tag == "inl" else c.right, inner)}
-        if isinstance(c, Product):
+        if isinstance(c, containers.Product):
             return [convert(part, x) for part, x in zip(c.parts, v)]
-        if isinstance(c, FinPow):
+        if isinstance(c, containers.FinPow):
             return {"set": sorted((convert(c.inner, x) for x in v), key=json.dumps)}
-        if isinstance(c, Exp):
+        if isinstance(c, containers.Exp):
             return [[label, convert(c.base, x)] for label, x in v]
-        if isinstance(v, Star):  # PairNeq
+        if isinstance(v, containers.Star):  # PairNeq
             return {"star": None}
         return {"pair": [convert(container, v[1]), convert(container, v[2])]}
 
@@ -237,11 +239,11 @@ def _shape_to_jsonable(container, shape):
 
 def _built_in_algebra(name: str, container):
     if name == "induction":
-        return induction_algebra(container)
+        return coalgebras.induction_algebra(container)
     if name == "count":
-        return count_algebra(container)
+        return coalgebras.count_algebra(container)
     if name == "term":
-        return unfold_algebra(container)
+        return coalgebras.unfold_algebra(container)
     raise InputError(f"unknown built-in algebra {name!r}")
 
 
@@ -251,10 +253,10 @@ def cmd_fold(path: str, config: argparse.Namespace) -> int:
     def reads_values(container) -> bool:
         return _built_in_algebra(config.algebra, container).eval_successors is None
 
-    kind, obj = load_input(path, lambda doc: coalgebra_from_json(doc, reads_values))
-    if kind != "set-coalgebra" or isinstance(obj, LazyCoalgebra):
+    kind, obj = load_input(path, lambda doc: coalgebras.coalgebra_from_json(doc, reads_values))
+    if kind != "set-coalgebra" or isinstance(obj, coalgebras.LazyCoalgebra):
         raise InputError("fold needs a finite set-coalgebra input")
-    values = solve_recursion(obj, _built_in_algebra(config.algebra, obj.container))
+    values = wellfounded.solve_recursion(obj, _built_in_algebra(config.algebra, obj.container))
     converted = {x: values[x] for x in obj.states}  # ints, printed as they come
     lines = (f"{x} = {v}" for x, v in converted.items())
     try:
@@ -285,7 +287,7 @@ def _load_term_args(doc: dict, where: str) -> tuple:
         if len(built) < len(args):
             at, arg = f"{where}.args[{len(built)}]", args[len(built)]
             if isinstance(arg, str):
-                built.append(parse_term(arg))
+                built.append(initial_algebra.parse_term(arg))
             elif isinstance(arg, dict) and "op" in arg:
                 if not isinstance(arg["op"], str):
                     raise InputError(f"{at}.op: expected an operation name")
@@ -296,7 +298,7 @@ def _load_term_args(doc: dict, where: str) -> tuple:
         stack.pop()
         if not stack:
             return tuple(built)
-        stack[-1][3].append(Term(op, built))
+        stack[-1][3].append(initial_algebra.Term(op, built))
 
 
 def cmd_realize(sig_path: str, structure_path: str, config: argparse.Namespace) -> int:
@@ -307,10 +309,10 @@ def cmd_realize(sig_path: str, structure_path: str, config: argparse.Namespace) 
     if not isinstance(doc, dict) or "op" not in doc:
         raise InputError(f"{structure_path}: expected {{op, args}}")
     # the signature reports a top symbol that is not a string as unknown
-    system, state = realize_hstructure(sig, doc["op"], _load_term_args(doc, "$"))
-    unfolded = unfold_to_term(sig, system, state)
+    system, state = initial_algebra.realize_hstructure(sig, doc["op"], _load_term_args(doc, "$"))
+    unfolded = initial_algebra.unfold_to_term(sig, system, state)
     out = {
-        "coalgebra": coalgebra_to_json(system),
+        "coalgebra": coalgebras.coalgebra_to_json(system),
         "state": state,
         "unfolded": str(unfolded),
     }
@@ -329,7 +331,7 @@ def cmd_check_52(sig_path: str, config: argparse.Namespace) -> int:
     kind, sig = load_input(sig_path)
     if kind != "signature":
         raise InputError(f"{sig_path}: expected kind 'signature'")
-    report = term_realization_report(sig, config.depth)
+    report = initial_algebra.term_realization_report(sig, config.depth)
     doc = report.to_json()
     _emit(
         doc,
@@ -363,12 +365,12 @@ def export_dot(nodes, edges) -> str:
 def cmd_export_dot(path: str) -> int:
     kind, obj = load_input(path)
     if kind == "set-coalgebra":
-        if isinstance(obj, LazyCoalgebra):
+        if isinstance(obj, coalgebras.LazyCoalgebra):
             raise InputError("export-dot needs a finite carrier")
         names = obj._names
         edges = [(names[i], names[j]) for i, out in enumerate(obj._out) for j in out]
     elif kind == "nlts":
-        graph = orbit_graph(obj)
+        graph = nominal.orbit_graph(obj)
         names, edges = graph, [(a, b) for a, out in graph.items() for b in out]
     else:
         raise InputError(f"export-dot does not apply to kind {kind!r}")

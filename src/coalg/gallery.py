@@ -10,120 +10,90 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .coalgebras import BudgetExhausted, FiniteCoalgebra, count_algebra
-from .containers import (
-    Const,
-    ConstVal,
-    FinPow,
-    Identity,
-    InL,
-    InR,
-    Product,
-    StateRef,
-    Sum,
-    TupleOf,
-    set_of,
-)
-from .convex import CPolytope, ConvexSpec, convex_path_witness, convex_wf_fixpoint, point
+# each back-end is called through its module, so that an entry runs only its
+# own back-end when the command line has bound these modules lazily
+from . import coalgebras, containers, convex, initial_algebra, nominal, wellfounded
 from .errors import InputError
-from .initial_algebra import Signature, signature_container, encode_structure
-from .nominal import (
-    FRESH_CASE,
-    NLTSSpec,
-    NState,
-    Rule,
-    Template,
-    fresh_var,
-    nominal_koenig_extract,
-    nominal_wf_labels,
-    path_witness,
-)
 from .records import record
-from .wellfounded import (
-    integer_ladder,
-    integer_ladder_recursion,
-    integer_ladder_window,
-    koenig_extract,
-    well_founded_part,
-)
 
 
-def _graph(edges: dict[str, list[str]]) -> FiniteCoalgebra:
+def _graph(edges: dict[str, list[str]]) -> coalgebras.FiniteCoalgebra:
     states = sorted(edges)
-    structure = {x: set_of(StateRef(s) for s in succ) for x, succ in edges.items()}
-    return FiniteCoalgebra(FinPow(Identity()), states, structure)
+    structure = {x: containers.set_of(containers.StateRef(s) for s in succ) for x, succ in edges.items()}
+    return coalgebras.FiniteCoalgebra(containers.FinPow(containers.Identity()), states, structure)
 
 
-def build_chain() -> FiniteCoalgebra:
+def build_chain() -> coalgebras.FiniteCoalgebra:
     return _graph({"a": ["b"], "b": ["c"], "c": []})
 
 
-def build_cycle_tail() -> FiniteCoalgebra:
+def build_cycle_tail() -> coalgebras.FiniteCoalgebra:
     # a <-> b cycle plus d -> c with c a deadlock
     return _graph({"a": ["b"], "b": ["a"], "c": [], "d": ["c"]})
 
 
-def build_self_loop() -> FiniteCoalgebra:
+def build_self_loop() -> coalgebras.FiniteCoalgebra:
     return _graph({"s": ["s"]})
 
 
-def build_binary_trees() -> FiniteCoalgebra:
+def build_binary_trees() -> coalgebras.FiniteCoalgebra:
     """A system for the functor X*X + (X + 1): a small ordered tree."""
-    container = Sum(Product((Identity(), Identity())), Sum(Identity(), Const(("end",))))
-    end = InR(InR(ConstVal("end")))
-    return FiniteCoalgebra(
+    c = containers
+    container = c.Sum(c.Product((c.Identity(), c.Identity())), c.Sum(c.Identity(), c.Const(("end",))))
+    end = c.InR(c.InR(c.ConstVal("end")))
+    return coalgebras.FiniteCoalgebra(
         container,
         ["root", "l", "r", "u"],
         {
-            "root": InL(TupleOf((StateRef("l"), StateRef("r")))),
-            "l": InR(InL(StateRef("u"))),
+            "root": c.InL(c.TupleOf((c.StateRef("l"), c.StateRef("r")))),
+            "l": c.InR(c.InL(c.StateRef("u"))),
             "u": end,
             "r": end,
         },
     )
 
 
-TERM_CHAIN_SIGNATURE = Signature((("z", 0), ("s", 1)))
+TERM_CHAIN_SYMBOLS = (("z", 0), ("s", 1))
 
 
-def build_term_chain() -> FiniteCoalgebra:
+def build_term_chain() -> coalgebras.FiniteCoalgebra:
     """A 4-state chain over the {z/0, s/1} signature functor."""
-    sig = TERM_CHAIN_SIGNATURE
-    container = signature_container(sig)
-    return FiniteCoalgebra(
+    sig = initial_algebra.Signature(TERM_CHAIN_SYMBOLS)
+    container = initial_algebra.signature_container(sig)
+    return coalgebras.FiniteCoalgebra(
         container,
         ["n0", "n1", "n2", "n3"],
         {
-            "n0": encode_structure(sig, "s", [StateRef("n1")]),
-            "n1": encode_structure(sig, "s", [StateRef("n2")]),
-            "n2": encode_structure(sig, "s", [StateRef("n3")]),
-            "n3": encode_structure(sig, "z", []),
+            "n0": initial_algebra.encode_structure(sig, "s", [containers.StateRef("n1")]),
+            "n1": initial_algebra.encode_structure(sig, "s", [containers.StateRef("n2")]),
+            "n2": initial_algebra.encode_structure(sig, "s", [containers.StateRef("n3")]),
+            "n3": initial_algebra.encode_structure(sig, "z", []),
         },
     )
 
 
-def build_nominal_fresh_loop() -> NLTSSpec:
+def build_nominal_fresh_loop() -> nominal.NLTSSpec:
     """One label looping to itself with a freshly generated register."""
-    return NLTSSpec(
+    return nominal.NLTSSpec(
         {"l0": 1},
-        [Rule("l0", FRESH_CASE, (Template("l0", (fresh_var(0),)),))],
+        [nominal.Rule("l0", nominal.FRESH_CASE, (nominal.Template("l0", (nominal.fresh_var(0),)),))],
     )
 
 
-def build_nominal_two_label() -> NLTSSpec:
+def build_nominal_two_label() -> nominal.NLTSSpec:
     """l0 steps to l1 storing the input; l1 is a deadlock."""
-    return NLTSSpec(
+    return nominal.NLTSSpec(
         {"l0": 1, "l1": 1},
-        [Rule("l0", FRESH_CASE, (Template("l1", (("input",),)),))],
+        [nominal.Rule("l0", nominal.FRESH_CASE, (nominal.Template("l1", (("input",),)),))],
     )
 
 
-def build_convex_self_loop() -> ConvexSpec:
-    return ConvexSpec([CPolytope([point([1])])])
+def build_convex_self_loop() -> convex.ConvexSpec:
+    return convex.ConvexSpec([convex.CPolytope([convex.point([1])])])
 
 
-def build_convex_rank2() -> ConvexSpec:
-    return ConvexSpec([CPolytope([point(["0", "1"])]), CPolytope()])
+def build_convex_rank2() -> convex.ConvexSpec:
+    return convex.ConvexSpec([convex.CPolytope([convex.point(["0", "1"])]), convex.CPolytope()])
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +105,8 @@ LADDER_BUDGETS = (10, 100, 1000, 10000)
 WITNESS_LENGTH = 50
 
 
-def _wf_verdict(coalg: FiniteCoalgebra):
-    report = well_founded_part(coalg)
+def _wf_verdict(coalg: coalgebras.FiniteCoalgebra):
+    report = wellfounded.well_founded_part(coalg)
     doc = report.to_json()
     doc["states"] = len(coalg.states)
     return doc, 0 if report.is_well_founded else 1
@@ -145,12 +115,12 @@ def _wf_verdict(coalg: FiniteCoalgebra):
 def _ladder_demo(ladder):
     outcomes = {}
     for b in LADDER_BUDGETS:
-        result = koenig_extract(ladder, "1", b)
+        result = wellfounded.koenig_extract(ladder, "1", b)
         outcomes[str(b)] = (
-            "budget-exhausted" if isinstance(result, BudgetExhausted) else sorted(result)
+            "budget-exhausted" if isinstance(result, coalgebras.BudgetExhausted) else sorted(result)
         )
-    recursion = integer_ladder_recursion(
-        count_algebra(ladder.container), range(-10, 0)
+    recursion = wellfounded.integer_ladder_recursion(
+        coalgebras.count_algebra(ladder.container), range(-10, 0)
     )
     doc = {
         "closureFromState1": outcomes,
@@ -161,18 +131,18 @@ def _ladder_demo(ladder):
     return doc, 2 if exhausted else 0
 
 
-def _nlts_verdict(spec: NLTSSpec):
-    wf_labels = nominal_wf_labels(spec)
+def _nlts_verdict(spec: nominal.NLTSSpec):
+    wf_labels = nominal.nominal_wf_labels(spec)
     wf = len(wf_labels) == len(spec.labels)
     doc = {"wellFounded": wf}
     if wf:
         lbl = min(spec.labels)
-        start = NState(lbl, tuple(range(spec.labels[lbl])))
-        doc["reachableLabels"] = sorted(nominal_koenig_extract(spec, start))
+        start = nominal.NState(lbl, tuple(range(spec.labels[lbl])))
+        doc["reachableLabels"] = sorted(nominal.nominal_koenig_extract(spec, start))
         return doc, 0
     lbl = min(set(spec.labels) - wf_labels)
-    start = NState(lbl, tuple(range(spec.labels[lbl])))
-    steps = path_witness(spec, start, WITNESS_LENGTH)
+    start = nominal.NState(lbl, tuple(range(spec.labels[lbl])))
+    steps = nominal.path_witness(spec, start, WITNESS_LENGTH)
     doc["witness"] = {
         "start": str(start),
         "length": len(steps),
@@ -181,12 +151,12 @@ def _nlts_verdict(spec: NLTSSpec):
     return doc, 1
 
 
-def _convex_verdict(spec: ConvexSpec):
-    report = convex_wf_fixpoint(spec)
+def _convex_verdict(spec: convex.ConvexSpec):
+    report = convex.convex_wf_fixpoint(spec)
     doc = report.to_json()
     if not report.is_well_founded:
         g = min(report.non_wf)
-        witness = convex_path_witness(spec, g, WITNESS_LENGTH)
+        witness = convex.convex_path_witness(spec, g, WITNESS_LENGTH)
         doc["witness"] = {
             "generator": g,
             "length": len(witness.steps),
@@ -264,7 +234,7 @@ _register(
     "lazy-coalgebra",
     "the integer ladder: every closure search exhausts its budget, yet "
     "constant recursion solutions exist for every algebra",
-    integer_ladder,
+    lambda: wellfounded.integer_ladder(),
     2,
 )
 _register(
@@ -272,7 +242,7 @@ _register(
     "set-coalgebra",
     "a 20-state window of the integer ladder with rim states clamped "
     "into a cycle; not well-founded",
-    lambda: integer_ladder_window(10),
+    lambda: wellfounded.integer_ladder_window(10),
     1,
 )
 _register(

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import coalg.cli as cli
+import coalg.coalgebras as coalgebras
 from coalg.cli import build_parser, export_dot, main
 from coalg.coalgebras import Algebra, coalgebra_from_json, coalgebra_to_json, count_algebra, induction_algebra
 from coalg.containers import SetOf, StateRef
@@ -534,6 +535,83 @@ class TestUsage:
         assert "unrecognized arguments: --budget 5" in proc.stderr
 
 
+# run one command and write its exit code and the coalg.* modules whose code
+# ran; a module that coalg.cli binds lazily has not run while its type is
+# still the lazy subclass of the module type
+MODULES_RUN = """
+import json, sys, types
+from coalg.cli import main
+try:
+    code = main(sys.argv[2:])
+except SystemExit as exc:
+    code = exc.code
+ran = [n[6:] for n, m in sys.modules.items() if n.startswith("coalg.") and type(m) is types.ModuleType]
+with open(sys.argv[1], "w", encoding="utf-8") as fh:
+    json.dump([code, sorted(ran)], fh)
+"""
+SET_SYSTEM = ["cli", "coalgebras", "containers", "errors", "fixpoint", "records", "wellfounded"]
+NOMINAL = ["cli", "errors", "fixpoint", "nominal", "records"]
+CONVEX = ["cli", "convex", "errors", "fixpoint", "records"]
+TERMS = sorted(SET_SYSTEM + ["initial_algebra"])
+
+
+def with_gallery(modules):
+    return sorted(modules + ["gallery"])
+
+
+# each command's exit code and the modules it runs, on the inputs of
+# TestEachCommandRunsItsBackEnd.files
+MODULES_BY_COMMAND = {
+    "check-wf set": (0, SET_SYSTEM),
+    "koenig set --state a": (0, SET_SYSTEM),
+    "fold set": (0, SET_SYSTEM),
+    "export-dot set": (0, [m for m in SET_SYSTEM if m != "wellfounded"]),
+    "check-wf nlts": (0, NOMINAL),
+    "koenig nlts --state l0[0]": (0, NOMINAL),
+    "fold nlts": (3, NOMINAL),
+    "export-dot nlts": (0, NOMINAL),
+    "check-wf convex": (1, CONVEX),
+    "koenig convex --state 0": (1, CONVEX),
+    "fold convex": (3, CONVEX),
+    "export-dot convex": (3, CONVEX),
+    "check-5.2 --sig sig": (0, TERMS),
+    "realize --sig sig --structure structure": (0, TERMS),
+    "check-wf gallery:chain": (0, with_gallery(SET_SYSTEM)),
+    "koenig gallery:example-3.11 --state 1 --budget 100": (2, with_gallery(SET_SYSTEM)),
+    "check-wf gallery:nominal-two-label": (0, with_gallery(NOMINAL)),
+    "check-wf gallery:convex-rank2": (0, with_gallery(CONVEX)),
+    "gallery all": (0, sorted(set(TERMS + NOMINAL + CONVEX + ["gallery"]))),
+    "gallery list": (0, ["cli", "errors", "gallery", "records"]),
+    "check-wf": (3, ["cli", "errors"]),
+}
+
+
+class TestEachCommandRunsItsBackEnd:
+    """A command runs the modules of the one back-end it uses, and no other."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("inputs")
+        return {
+            "set": write(tmp_path, "chain.json", coalgebra_to_json(build_chain())),
+            "nlts": write(tmp_path, "two.json", nlts_to_json(build_nominal_two_label())),
+            "convex": write(tmp_path, "loop.json", convex_to_json(build_convex_self_loop())),
+            "sig": write(tmp_path, "sig.json", signature_to_json(Signature((("z", 0), ("s", 1))))),
+            "structure": write(tmp_path, "structure.json", {"op": "s", "args": ["z"]}),
+        }
+
+    @pytest.mark.parametrize("command", MODULES_BY_COMMAND)
+    def test_modules_run(self, command, files, tmp_path):
+        out = tmp_path / "modules.json"
+        path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        subprocess.run(
+            [sys.executable, "-c", MODULES_RUN, str(out), *(files.get(a, a) for a in command.split())],
+            env=env, capture_output=True, timeout=300, check=True,
+        )
+        assert json.loads(out.read_text(encoding="utf-8")) == list(MODULES_BY_COMMAND[command])
+
+
 class TestCollectorPause:
     @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
     def collecting(self, request):
@@ -705,17 +783,24 @@ class TestVerdictsReadTheGraph:
         assert len(interpreted) == 3
 
     def test_only_fold_decodes_structure_values(self):
+        def decodes(node):  # coalgebras.coalgebra_from_json
+            return (
+                isinstance(node, ast.Attribute)
+                and node.attr == "coalgebra_from_json"
+                and getattr(node.value, "id", None) == "coalgebras"
+            )
+
         tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
         users = {
             fn.name
             for fn in ast.walk(tree)
             if isinstance(fn, ast.FunctionDef)
             for node in ast.walk(fn)
-            if isinstance(node, ast.Name) and node.id == "coalgebra_from_json"
+            if decodes(node)
         }
         assert users == {"cmd_fold"}
         # and it passes the test of the functor that picks the walk
-        calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "coalgebra_from_json"]
+        calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and decodes(n.func)]
         assert [len(call.args) for call in calls] == [2]
 
     def test_verdicts_match_the_full_decode(self, tmp_path, monkeypatch, capsys):
@@ -728,13 +813,12 @@ class TestVerdictsReadTheGraph:
         def full_decode(path, set_system=None):
             return load_input(path, coalgebra_from_json)
 
+        # (module, attribute, value) per way
         ways = [
-            {"load_input": load_input, "count_algebra": count_algebra, "induction_algebra": induction_algebra},
-            {
-                "load_input": full_decode,
-                "count_algebra": interpreting(count_algebra),
-                "induction_algebra": interpreting(induction_algebra),
-            },
+            [(cli, "load_input", load_input), (coalgebras, "count_algebra", count_algebra),
+             (coalgebras, "induction_algebra", induction_algebra)],
+            [(cli, "load_input", full_decode), (coalgebras, "count_algebra", interpreting(count_algebra)),
+             (coalgebras, "induction_algebra", interpreting(induction_algebra))],
         ]
 
         codes = Counter()
@@ -762,8 +846,8 @@ class TestVerdictsReadTheGraph:
             for argv in runs:
                 outputs = []
                 for way in ways:
-                    for name, value in way.items():
-                        monkeypatch.setattr(cli, name, value)
+                    for module, name, value in way:
+                        monkeypatch.setattr(module, name, value)
                     code = main(argv)
                     outputs.append((*capsys.readouterr(), code))
                 assert outputs[0] == outputs[1], argv

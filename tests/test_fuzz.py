@@ -16,14 +16,15 @@ from hypothesis import strategies as st
 
 from coalg.cli import main
 from coalg.coalgebras import coalgebra_to_json
-from coalg.gallery import GALLERY, TERM_CHAIN_SIGNATURE
+from coalg.gallery import GALLERY, TERM_CHAIN_SYMBOLS
+from coalg.initial_algebra import Signature
 
 from genutil import convex_to_json, nlts_to_json, signature_to_json
 
 ENCODERS = {"set-coalgebra": coalgebra_to_json, "nlts": nlts_to_json, "convex": convex_to_json}
 DOCUMENTS = [
     ENCODERS[entry.kind](entry.build()) for entry in GALLERY.values() if entry.kind in ENCODERS
-] + [signature_to_json(TERM_CHAIN_SIGNATURE)]
+] + [signature_to_json(Signature(TERM_CHAIN_SYMBOLS))]
 STATES = ["a", "s", "root", "n0", "l0[0]", "l1[3]", "0"]
 STRUCTURE = {"op": "s", "args": ["z"]}
 
