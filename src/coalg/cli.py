@@ -180,6 +180,9 @@ def cmd_koenig(path: str, config: argparse.Namespace) -> int:
         labels = nominal.nominal_koenig_extract(obj, nominal.state_from_text(config.state))
         doc = {"state": config.state, "labels": sorted(labels)}
     elif kind == "convex":
+        # a convex state is a generator index, written as str(i)
+        if config.state not in map(str, range(obj.generators)):
+            raise InputError(f"convex states are generator indices 0..{obj.generators - 1}, got {config.state!r}")
         report = convex.convex_wf_fixpoint(obj)
         if not report.is_well_founded:
             raise NotWellFoundedError(

@@ -2,9 +2,9 @@
 
 A coalgebra pairs a carrier of named states with a transition structure
 assigning each state a container value.  Finite systems are tables and
-get validated eagerly; lazy systems expose only a structure rule and are
-meant for infinite carriers, so any global analysis on them must be
-budget-guarded by the caller.
+get validated eagerly; lazy systems expose a structure rule (and perhaps a
+successor rule) and are meant for infinite carriers, so any global
+analysis on them must be budget-guarded by the caller.
 """
 
 from __future__ import annotations
@@ -181,6 +181,10 @@ class LazyCoalgebra:
 
     The rule must be pure and deterministic.  Operations over lazy systems
     take explicit budgets.
+
+    ``successors``, if given, names a state's successors without building
+    its structure, and the closure reads it in place of the rule: the set
+    of names it returns must be ``support(container, rule(x))``.
     """
 
     def __init__(
@@ -188,16 +192,20 @@ class LazyCoalgebra:
         container: Container,
         rule: Callable[[str], HStructure],
         name: Optional[str] = None,
+        successors: Optional[Callable[[str], Iterable[str]]] = None,
     ):
         self.container = container
         self.rule = rule
         self.name = name
+        self.successor_rule = successors
 
     def structure_of(self, state: str) -> HStructure:
         return self._checked(state)[0]
 
     def successors(self, state: str) -> frozenset[str]:
-        return self._checked(state)[1]
+        if self.successor_rule is None:
+            return self._checked(state)[1]
+        return frozenset(self.successor_rule(state))
 
     def _checked(self, state: str) -> tuple[HStructure, frozenset[str]]:
         h = self.rule(state)
@@ -289,7 +297,7 @@ def _closure(coalg, seed: Iterable[str], budget: int) -> tuple[frozenset, bool]:
         raise InputError(f"budget {budget} is below the seed size {len(seed)}")
     if isinstance(coalg, NumberedGraph):
         return reach(coalg._out.__getitem__, map(coalg._index, sorted(seed)), budget)
-    return reach(coalg.successors, seed, budget)
+    return reach(coalg.successor_rule or coalg.successors, seed, budget)
 
 
 def coproduct_extension(

@@ -264,10 +264,14 @@ def extend_recursion_solution(
 
 
 def _ladder_state(state: str) -> int:
+    """The integer k named by ``state``, which must be ``str(k)``: one name
+    per state, so that a closure never holds two names of one integer."""
     try:
         k = int(state)
     except ValueError:
         raise InputError(f"integer-ladder states are integers, got {state!r}") from None
+    if str(k) != state:
+        raise InputError(f"integer-ladder state names are canonical integers, got {state!r}")
     if k == 0:
         raise ZeroStateError("0 is not a state of the integer ladder")
     return k
@@ -281,11 +285,11 @@ def integer_ladder() -> LazyCoalgebra:
     the only finite successor-closed subset is empty.
     """
 
-    def rule(state: str):
-        k = _ladder_state(state)
-        return make_pair(StateRef(str(-abs(k) - 1)), StateRef(str(abs(k) + 1)))
+    def successors(state: str) -> tuple[str, str]:
+        up = str(abs(_ladder_state(state)) + 1)
+        return "-" + up, up
 
-    return LazyCoalgebra(PairNeq(), rule, name="integer-ladder")
+    return LazyCoalgebra(PairNeq(), lambda x: make_pair(*map(StateRef, successors(x))), "integer-ladder", successors)
 
 
 def integer_ladder_window(radius: int) -> FiniteCoalgebra:

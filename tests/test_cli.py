@@ -14,10 +14,11 @@ import coalg.cli as cli
 import coalg.coalgebras as coalgebras
 from coalg.cli import build_parser, export_dot, main
 from coalg.coalgebras import Algebra, coalgebra_from_json, coalgebra_to_json, count_algebra, induction_algebra
-from coalg.containers import SetOf, StateRef
+from coalg.containers import Pair, SetOf, StateRef
 from coalg.gallery import (
     GALLERY,
     build_chain,
+    build_convex_rank2,
     build_convex_self_loop,
     build_nominal_two_label,
     build_self_loop,
@@ -119,6 +120,41 @@ class TestKoenig:
         nlts = write(tmp_path, "loop.json", nlts_to_json(loop))
         assert main(["koenig", nlts, "--state", state]) == 3
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "state, message",
+        # int() reads the first five as states, but only str(k) names k
+        [(state, f"integer-ladder state names are canonical integers, got {state!r}")
+         for state in ("01", "+3", "1_0", " 2", "\u0663")]
+        + [("0", "0 is not a state of the integer ladder"), ("x1", "integer-ladder states are integers, got 'x1'")],
+    )
+    def test_ladder_refuses_a_name_outside_its_carrier(self, capsys, state, message):
+        assert main(["koenig", "gallery:example-3.11", "--state", state, "--budget", "3"]) == 3
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "build, state, code",
+        [
+            (build_convex_rank2, "0", 0),
+            (build_convex_rank2, "1", 0),
+            (build_convex_self_loop, "0", 1),
+            # the state is read before the verdict, so a bad one exits 3
+            # on a system that is not well-founded too
+            (build_convex_self_loop, "1", 3),
+            (build_convex_rank2, "2", 3),
+            (build_convex_rank2, "garbage", 3),
+            (build_convex_rank2, "-1", 3),
+            (build_convex_rank2, "01", 3),
+            (build_convex_rank2, "", 3),
+        ],
+    )
+    def test_convex_state_is_a_generator_index(self, tmp_path, capsys, build, state, code):
+        spec = build()
+        path = write(tmp_path, "convex.json", convex_to_json(spec))
+        assert main(["koenig", path, "--state", state]) == code
+        err = capsys.readouterr().err
+        if code == 3:
+            assert err == f"error: convex states are generator indices 0..{spec.generators - 1}, got {state!r}\n"
 
 
 class TestFold:
@@ -712,12 +748,13 @@ class TestVerdictsReadTheGraph:
     """check-wf, koenig and export-dot load a set-coalgebra file as its
     canonical graph, with no structure value built; so do fold --algebra
     count and induction over a functor with no pairneq node.  The other
-    folds build them."""
+    folds build them.  A probe of the lazy integer ladder builds none
+    either: it reads the ladder's successor rule."""
 
     @pytest.fixture
     def made(self, monkeypatch):
         made = Counter()
-        for cls in (StateRef, SetOf):
+        for cls in (StateRef, SetOf, Pair):
             def counted(self, *args, init=cls.__init__, name=cls.__name__):
                 made[name] += 1
                 init(self, *args)
@@ -744,6 +781,11 @@ class TestVerdictsReadTheGraph:
         }
         assert main([files.get(a, a) for a in argv]) == code
         assert capsys.readouterr().out or code in (1, 3)
+        assert made == {}
+
+    def test_ladder_probe_builds_no_structure_value(self, made, capsys):
+        assert main(["koenig", "gallery:example-3.11", "--state", "1", "--budget", "1000"]) == 2
+        assert "budget exhausted after visiting 1000 states" in capsys.readouterr().out
         assert made == {}
 
     @pytest.fixture
@@ -779,7 +821,7 @@ class TestVerdictsReadTheGraph:
         path = write(tmp_path, "pair.json", COLLAPSING_PAIR)
         assert main(["fold", path, "--algebra", "count"]) == 0
         assert capsys.readouterr().out == "x = 0\ny = 0\nz = 0\n"
-        assert made == {"StateRef": 2}
+        assert made == {"StateRef": 2, "Pair": 1}
         assert len(interpreted) == 3
 
     def test_only_fold_decodes_structure_values(self):

@@ -280,20 +280,36 @@ class TestLeastSubcoalgebra:
         with pytest.raises(InputError):
             least_subcoalgebra(CHAIN, {"a", "b"}, 1)
 
-    def test_lazy_successors_walk_each_structure_once(self, monkeypatch):
+    @pytest.fixture
+    def walks(self, monkeypatch):
         import coalg.coalgebras as coalgebras
 
         calls = []
         real = coalgebras.support
         monkeypatch.setattr(coalgebras, "support", lambda c, h: calls.append(h) or real(c, h))
+        return calls
+
+    def test_lazy_successors_walk_each_structure_once(self, walks):
+        # a lazy system with no successor rule reads each state's successors
+        # off the structure that its rule builds
+        rule, built = integer_ladder().rule, []
+        lazy = LazyCoalgebra(PairNeq(), lambda x: built.append(x) or rule(x))
+        assert lazy.successors("1") == {"-2", "2"}
+        assert len(walks) == 1
+        assert isinstance(least_subcoalgebra(lazy, {"1"}, 50), BudgetExhausted)
+        # one walk per structure the rule built
+        assert len(walks) == len(built) > 40
+
+    def test_a_successor_rule_builds_no_structure(self, walks):
         ladder = integer_ladder()
         rule, built = ladder.rule, []
         ladder.rule = lambda x: built.append(x) or rule(x)
         assert ladder.successors("1") == {"-2", "2"}
-        assert len(calls) == 1
         assert isinstance(least_subcoalgebra(ladder, {"1"}, 50), BudgetExhausted)
-        # one walk per structure the rule built
-        assert len(calls) == len(built) > 40
+        assert built == walks == []
+        # the structure is still the rule's, checked by one walk
+        assert ladder.structure_of("1") == make_pair(StateRef("-2"), StateRef("2"))
+        assert built == ["1"] and len(walks) == 1
 
     def test_lazy_rule_giving_a_non_value_is_input_error(self):
         bad = LazyCoalgebra(PairNeq(), lambda x: make_pair(StateRef(x), STAR))

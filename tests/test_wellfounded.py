@@ -1,4 +1,5 @@
 import itertools
+import re
 from collections import Counter
 from collections.abc import Mapping
 
@@ -8,6 +9,7 @@ from coalg.coalgebras import (
     Algebra,
     BudgetExhausted,
     FiniteCoalgebra,
+    LazyCoalgebra,
     coalgebra_to_json,
     coproduct_extension,
     count_algebra,
@@ -25,10 +27,12 @@ from coalg.containers import (
     StateRef,
     make_pair,
     set_of,
+    support,
 )
 from coalg.errors import (
     CycleError,
     FoundInfinitePathEvidence,
+    InputError,
     NotWellFoundedError,
     VerificationFailedError,
     ZeroStateError,
@@ -579,6 +583,35 @@ class TestIntegerLadder:
     def test_zero_state(self):
         with pytest.raises(ZeroStateError):
             integer_ladder().structure_of("0")
+        with pytest.raises(ZeroStateError):
+            integer_ladder().successors("0")
+
+    @pytest.mark.parametrize("state", ["01", "+3", "1_0", " 2", "\u0663", "-0", "00"])
+    def test_a_state_has_one_name(self, state):
+        # int() takes each of these, but only str(k) names the state k
+        ladder = integer_ladder()
+        for read in (ladder.structure_of, ladder.successors):
+            with pytest.raises(InputError, match=re.escape(f"canonical integers, got {state!r}")):
+                read(state)
+
+    def test_successor_rule_agrees_with_the_structure(self):
+        # on the first 10 000 states of the closure from 1
+        ladder = integer_ladder()
+        visited, closed = reach(ladder.successors, ["1"], 10_000)
+        assert not closed and len(visited) == 10_000
+        for x in visited:
+            assert ladder.successors(x) == support(ladder.container, ladder.rule(x))
+
+    @pytest.mark.parametrize("seed", ["1", "-1", "7"])
+    def test_a_budget_takes_the_states_the_structure_gives(self, seed):
+        # a budget takes a sorted prefix of a frontier of names, with or
+        # without the successor rule
+        ladder = integer_ladder()
+        by_structure = LazyCoalgebra(PairNeq(), ladder.rule)
+        for budget in (1, 2, 3, 10, 1000, 100_000):
+            named = koenig_extract(ladder, seed, budget)
+            assert isinstance(named, BudgetExhausted) and len(named.visited) == budget
+            assert named == koenig_extract(by_structure, seed, budget)
 
     def test_window_is_not_wf_but_valid(self):
         window = integer_ladder_window(10)
@@ -586,7 +619,7 @@ class TestIntegerLadder:
         assert not is_well_founded(window)
 
     def test_window_radius_is_advisory_only(self):
-        # traversal follows the structure rule, so budgets still run out
+        # traversal follows the successor rule, so budgets still run out
         ladder = integer_ladder()
         assert isinstance(koenig_extract(ladder, "1", 500), BudgetExhausted)
 
