@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from .errors import AnalysisError, InputError, NotWellFoundedError
+from .errors import AnalysisError, InputError, NotWellFoundedError, check_fields
 
 
 def _lazy(name: str):
@@ -279,6 +279,7 @@ def _load_term_args(doc: dict, where: str) -> tuple:
     or ``{op, args}`` again, read in one loop with an explicit stack."""
 
     def frame(op, doc, where):
+        check_fields(doc, ("op", "args"), where)
         args = doc.get("args", [])
         if not isinstance(args, list):
             raise InputError(f"{where}.args: expected a list")
@@ -367,16 +368,13 @@ def export_dot(nodes, edges) -> str:
 
 def cmd_export_dot(path: str) -> int:
     kind, obj = load_input(path)
-    if kind == "set-coalgebra":
-        if isinstance(obj, coalgebras.LazyCoalgebra):
-            raise InputError("export-dot needs a finite carrier")
-        names = obj._names
-        edges = [(names[i], names[j]) for i, out in enumerate(obj._out) for j in out]
-    elif kind == "nlts":
-        graph = nominal.orbit_graph(obj)
-        names, edges = graph, [(a, b) for a, out in graph.items() for b in out]
-    else:
+    if kind not in ("set-coalgebra", "nlts"):
         raise InputError(f"export-dot does not apply to kind {kind!r}")
+    # the kind is tested first, so that an nlts input never loads coalgebras
+    if kind == "set-coalgebra" and isinstance(obj, coalgebras.LazyCoalgebra):
+        raise InputError("export-dot needs a finite carrier")
+    names = obj._names
+    edges = [(names[i], names[j]) for i, out in enumerate(obj._out) for j in out]
     _write(export_dot(names, edges))
     return EXIT_OK
 

@@ -449,7 +449,7 @@ def _system_document(doc) -> tuple[Container, list, dict, dict]:
     """The functor, states and structure entries of a ``set-coalgebra``
     document, and its carrier numbered by :func:`_check_carrier`: the checks
     that come before any structure is decoded, the same for every decoder."""
-    check_header(doc, "set-coalgebra")
+    check_header(doc, "set-coalgebra", ("functor", "states", "structure"))
     for field in ("functor", "states", "structure"):
         if field not in doc:
             raise InputError(f"$.{field}: missing")

@@ -368,7 +368,7 @@ _LONG_EXPONENT = re.compile(r"[eE][-+]?[0_]*(?!0)\d(?:_?\d){4}")
 
 
 def convex_from_json(doc) -> ConvexSpec:
-    check_header(doc, "convex")
+    check_header(doc, "convex", ("generators", "successors"))
     n = doc.get("generators")
     succ = doc.get("successors")
     if type(n) is not int or n < 1:

@@ -1,5 +1,5 @@
-"""Exception types shared across the analysis modules, and the header check
-of the JSON input documents.
+"""Exception types shared across the analysis modules, and the header and
+key checks of the JSON input documents.
 
 The command line maps two families to exit codes: a
 :class:`NotWellFoundedError` to 1, and any other :class:`AnalysisError`
@@ -75,9 +75,10 @@ class FoundInfinitePathEvidence(NotWellFoundedError):
         self.report = report
 
 
-def check_header(doc, kind: str) -> None:
+def check_header(doc, kind: str, fields) -> None:
     """Check the header of a JSON input document: an object carrying
-    ``"version": 1`` (the integer; ``true`` is not accepted) and ``kind``."""
+    ``"version": 1`` (the integer; ``true`` is not accepted) and ``kind``,
+    and no key outside them and the kind's ``fields``."""
     if not isinstance(doc, dict):
         raise InputError("$: expected a JSON object")
     version = doc.get("version")
@@ -85,3 +86,12 @@ def check_header(doc, kind: str) -> None:
         raise InputError("$.version: expected 1")
     if doc.get("kind") != kind:
         raise InputError(f"$.kind: expected {kind!r}, got {doc.get('kind')!r}")
+    check_fields(doc, ("version", "kind", *fields), "$")
+
+
+def check_fields(doc: dict, fields, where: str) -> None:
+    """Refuse the first key of the object ``doc`` outside ``fields``, by its
+    JSON path: ``$.bogus: unknown field``."""
+    for key in doc:
+        if key not in fields:
+            raise InputError(f"{where}.{key}: unknown field")

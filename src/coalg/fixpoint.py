@@ -29,9 +29,10 @@ def least_fixpoint(succ, any_of=(), nodes=None) -> tuple[list[int], list[int]]:
     Each back-end numbers its own nodes, named ones in sorted name order.
     A :class:`coalg.coalgebras.FiniteCoalgebra` numbers its states when it
     is built and keeps their successor tuples; its ``successor_map`` by
-    name is built from them on first read.  The nominal back-end numbers
-    its orbit labels through :func:`numbered`, and the convex back-end
-    numbers its generators, then their vertices.
+    name is built from them on first read.  A
+    :class:`coalg.nominal.NLTSSpec` numbers its orbit labels when it is
+    built, in the same way, and the convex back-end numbers its
+    generators, then their vertices.
 
     Returns ``(rank, order)``: ``rank[i]`` is node i's rank, or 0 if it is
     outside the fixpoint (or outside ``nodes``), and ``order`` lists the
@@ -69,15 +70,6 @@ def least_fixpoint(succ, any_of=(), nodes=None) -> tuple[list[int], list[int]]:
                     rank[x] = r + 1
                     queue.append(x)
     return rank, order
-
-
-def numbered(succ) -> tuple[list, list[tuple[int, ...]]]:
-    """A successor map keyed by node names, as ``least_fixpoint`` takes it:
-    the names in sorted order, so that index order is name order, and each
-    one's successors as a tuple of indices into that list."""
-    names = sorted(succ)
-    at = dict(zip(names, range(len(names))))
-    return names, [tuple(map(at.__getitem__, succ[x])) for x in names]
 
 
 def reach(successors, seed, budget=None) -> tuple[frozenset, bool]:

@@ -36,7 +36,7 @@ from .containers import (
     TupleOf,
     hmap,
 )
-from .errors import InputError, check_header
+from .errors import InputError, check_fields, check_header
 from .fixpoint import reach
 from .records import record
 from .wellfounded import solve_recursion
@@ -234,7 +234,7 @@ class Signature:
 
 
 def signature_from_json(doc) -> Signature:
-    check_header(doc, "signature")
+    check_header(doc, "signature", ("ops",))
     ops = doc.get("ops")
     if not isinstance(ops, list):
         raise InputError("$.ops: expected a list")
@@ -246,6 +246,7 @@ def signature_from_json(doc) -> Signature:
             or type(entry.get("arity")) is not int
         ):
             raise InputError(f"$.ops[{i}]: expected {{name, arity}}")
+        check_fields(entry, ("name", "arity"), f"$.ops[{i}]")
         out.append((entry["name"], entry["arity"]))
     return Signature(tuple(out))
 

@@ -16,10 +16,10 @@ by random simulation in the tests.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
-from .errors import InputError, NotWellFoundedError, UnknownLabelError, check_header
-from .fixpoint import least_fixpoint, numbered, reach
+from .errors import InputError, NotWellFoundedError, UnknownLabelError, check_fields, check_header
+from .fixpoint import least_fixpoint, reach
 from .records import record
 
 FRESH_CASE = ("fresh",)
@@ -75,6 +75,14 @@ class NLTSSpec:
         self.rules = tuple(rules)
         for rule in self.rules:
             self._check_rule(rule)
+        # the orbit graph, numbered as a NumberedGraph numbers its states:
+        # the labels in sorted order, and each one's targets as indices
+        self._names = names = tuple(sorted(self.labels))
+        at = dict(zip(names, range(len(names))))
+        out: list[set[int]] = [set() for _ in names]
+        for rule in self.rules:
+            out[at[rule.source]].update(at[tpl.label] for tpl in rule.templates)
+        self._out = tuple(tuple(sorted(targets)) for targets in out)
 
     def _check_rule(self, rule: Rule):
         if rule.source not in self.labels:
@@ -167,12 +175,10 @@ def nominal_step(spec: NLTSSpec, state: NState, a: int) -> frozenset[NState]:
 
 
 def orbit_graph(spec: NLTSSpec) -> dict[str, frozenset[str]]:
-    """The finite graph on labels: an edge per template target."""
-    edges: dict[str, set[str]] = {lbl: set() for lbl in spec.labels}
-    for rule in spec.rules:
-        for tpl in rule.templates:
-            edges[rule.source].add(tpl.label)
-    return {lbl: frozenset(targets) for lbl, targets in edges.items()}
+    """The finite graph on labels: an edge per template target.  A view,
+    by name, of the spec's numbered graph."""
+    names = spec._names
+    return {x: frozenset(map(names.__getitem__, out)) for x, out in zip(names, spec._out)}
 
 
 def nominal_is_well_founded(spec: NLTSSpec) -> bool:
@@ -190,13 +196,7 @@ def nominal_is_well_founded(spec: NLTSSpec) -> bool:
 def nominal_wf_labels(spec: NLTSSpec) -> frozenset[str]:
     """Labels from which no infinite concrete run exists: the well-founded
     part of the orbit graph, computed in time linear in its size."""
-    return _wf_part(orbit_graph(spec))
-
-
-def _wf_part(graph: Mapping[str, frozenset[str]]) -> frozenset[str]:
-    # the kernel runs on the labels numbered in sorted order
-    labels, out = numbered(graph)
-    return frozenset(map(labels.__getitem__, least_fixpoint(out)[1]))
+    return frozenset(map(spec._names.__getitem__, least_fixpoint(spec._out)[1]))
 
 
 def path_witness(spec: NLTSSpec, state: NState, length: int) -> list[tuple[int, NState]]:
@@ -208,41 +208,29 @@ def path_witness(spec: NLTSSpec, state: NState, length: int) -> list[tuple[int, 
     is checked to be a genuine successor via :func:`nominal_step`.
     """
     spec.check_state(state)
-    graph = orbit_graph(spec)
-    alive = frozenset(graph) - _wf_part(graph)
-    if state.label not in alive:
+    names, out = spec._names, spec._out
+    rank = least_fixpoint(out)[0]  # 0 marks a live label, one with an infinite run
+    i = names.index(state.label)
+    if rank[i]:
         raise InputError(f"no infinite run exists from label {state.label!r}")
     steps: list[tuple[int, NState]] = []
     current = state
     for _ in range(length):
-        target = min(graph[current.label] & alive)
-        chosen: Optional[tuple[tuple, Template]] = None
-        for rule in spec.rules:
-            if rule.source != current.label:
-                continue
-            for tpl in rule.templates:
-                if tpl.label == target:
-                    chosen = (rule.case, tpl)
-                    break
-            if chosen:
-                break
-        if chosen is None:  # unreachable given the orbit edge
-            raise InputError(f"no rule from {current.label!r} to {target!r}")
-        case, tpl = chosen
+        # a live label has a live target, and the orbit edge a rule toward it
+        i = min(j for j in out[i] if not rank[j])
+        target = names[i]
+        case = next(
+            r.case for r in spec.rules if r.source == current.label and any(t.label == target for t in r.templates)
+        )
         if case == FRESH_CASE:
             a = _fresh_atoms(1, set(current.registers))[0]
         else:
             a = current.registers[case[1]]
-        successors = nominal_step(spec, current, a)
-        matching = sorted(
-            (s for s in successors if s.label == target),
-            key=lambda s: s.registers,
-        )
+        matching = [s for s in nominal_step(spec, current, a) if s.label == target]
         if not matching:
             raise InputError(f"template toward {target!r} did not instantiate")
-        nxt = matching[0]
-        steps.append((a, nxt))
-        current = nxt
+        current = min(matching, key=lambda s: s.registers)
+        steps.append((a, current))
     return steps
 
 
@@ -255,10 +243,10 @@ def nominal_koenig_extract(spec: NLTSSpec, state: NState) -> frozenset[str]:
     state is an input error whatever the verdict.
     """
     spec.check_state(state)
-    graph = orbit_graph(spec)
-    if len(_wf_part(graph)) < len(graph):
+    names, out = spec._names, spec._out
+    if len(least_fixpoint(out)[1]) < len(out):
         raise NotWellFoundedError("system is not well-founded")
-    return reach(graph.__getitem__, [state.label])[0]
+    return frozenset(map(names.__getitem__, reach(out.__getitem__, [names.index(state.label)])[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +272,7 @@ def _slot_from_json(doc, where: str) -> tuple:
 
 
 def nlts_from_json(doc) -> NLTSSpec:
-    check_header(doc, "nlts")
+    check_header(doc, "nlts", ("labels", "rules"))
     labels = doc.get("labels")
     if not isinstance(labels, dict) or not all(
         isinstance(k, str) and k and type(v) is int and v >= 0 for k, v in labels.items()
@@ -298,6 +286,7 @@ def nlts_from_json(doc) -> NLTSSpec:
         where = f"$.rules[{i}]"
         if not isinstance(rd, dict) or not isinstance(rd.get("from"), str) or "case" not in rd:
             raise InputError(f"{where}: expected {{from, case, to}}")
+        check_fields(rd, ("from", "case", "to"), where)
         to = rd.get("to", [])
         if not isinstance(to, list):
             raise InputError(f"{where}.to: expected a list")
@@ -305,6 +294,7 @@ def nlts_from_json(doc) -> NLTSSpec:
         for j, td in enumerate(to):
             if not isinstance(td, dict) or not isinstance(td.get("label"), str):
                 raise InputError(f"{where}.to[{j}]: expected {{label, assign}}")
+            check_fields(td, ("label", "assign"), f"{where}.to[{j}]")
             if not isinstance(td.get("assign"), list):
                 raise InputError(f"{where}.to[{j}].assign: expected a list")
             templates.append(
@@ -333,11 +323,15 @@ def state_from_text(text: str) -> NState:
     if not text.endswith("]"):
         raise InputError(f"bad state syntax: {text!r}")
     label, _, rest = text.partition("[")
-    body = rest[:-1].strip()
+    body = rest[:-1]
     if not body:
         return NState(label, ())
+    parts = body.split(",")
     try:
-        atoms = tuple(int(part) for part in body.split(","))
-    except ValueError:
-        raise InputError(f"bad register list in {text!r}") from None
+        atoms = tuple(map(int, parts))
+    except ValueError:  # not an integer, or more than 4300 digits
+        atoms = ()
+    # an atom is a natural number a, written as str(a): one text per state
+    if "-" in body or parts != list(map(str, atoms)):
+        raise InputError(f"bad register list in {text!r}: registers are natural numbers, written as str(a)")
     return NState(label, atoms)

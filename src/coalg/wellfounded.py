@@ -52,7 +52,7 @@ from .errors import (
     VerificationFailedError,
     ZeroStateError,
 )
-from .fixpoint import least_fixpoint, numbered, reach
+from .fixpoint import least_fixpoint, reach
 from .records import record
 
 
@@ -161,10 +161,12 @@ def koenig_extract(coalg, state: str, budget: int):
     if finite:
         names, out, nodes = coalg._names, coalg._out, visited
     else:
-        # the closure walk does not keep its successor sets: a probe that
-        # runs out of budget would hold them all for nothing (about 16 MB
-        # on 1e5 ladder states)
-        names, out = numbered({x: coalg.successors(x) for x in visited})
+        # the closure walk does not keep its successor sets (a probe that
+        # runs out of budget would hold them all for nothing, about 16 MB
+        # on 1e5 ladder states), so the finite closure is numbered here
+        names = sorted(visited)
+        at = dict(zip(names, range(len(names))))
+        out = [tuple(map(at.__getitem__, coalg.successors(x))) for x in names]
         nodes = None
     rank, order = least_fixpoint(out, nodes=nodes)
     if len(order) < len(visited):

@@ -436,6 +436,15 @@ def round_ranks(succ, any_of=frozenset()):
                     changed = True
 
 
+def numbered(succ) -> tuple[list, list[tuple[int, ...]]]:
+    """A successor map keyed by node names, as ``least_fixpoint`` takes it:
+    the names in sorted order, so that index order is name order, and each
+    one's successors as a tuple of indices into that list."""
+    names = sorted(succ)
+    at = dict(zip(names, range(len(names))))
+    return names, [tuple(map(at.__getitem__, succ[x])) for x in names]
+
+
 # ---------------------------------------------------------------------------
 # exhaustive enumeration of container values
 
@@ -822,6 +831,44 @@ def simulate(spec, state, rng, max_steps):
         nxt = rng.choice(successors)
         steps.append((a, nxt))
         current = nxt
+    return steps
+
+
+def reference_orbit_graph(spec):
+    """The orbit graph built rule by rule, keyed by name: an edge per
+    template target."""
+    edges = {lbl: set() for lbl in spec.labels}
+    for rule in spec.rules:
+        for tpl in rule.templates:
+            edges[rule.source].add(tpl.label)
+    return {lbl: frozenset(targets) for lbl, targets in edges.items()}
+
+
+def reference_path_witness(spec, state, length):
+    """``path_witness`` on the by-name orbit graph, its live labels read
+    from the round-by-round fixpoint: each step goes to the least live
+    target, through the first rule with a template toward it, on the least
+    admissible atom, to the successor with the least registers."""
+    graph = reference_orbit_graph(spec)
+    alive = set(graph) - set(round_ranks(graph))
+    steps = []
+    current = state
+    for _ in range(length):
+        target = min(graph[current.label] & alive)
+        case = next(
+            rule.case
+            for rule in spec.rules
+            if rule.source == current.label and any(tpl.label == target for tpl in rule.templates)
+        )
+        if case == FRESH_CASE:
+            a = next(b for b in itertools.count() if b not in current.registers)
+        else:
+            a = current.registers[case[1]]
+        current = min(
+            (s for s in nominal_step(spec, current, a) if s.label == target),
+            key=lambda s: s.registers,
+        )
+        steps.append((a, current))
     return steps
 
 

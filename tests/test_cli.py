@@ -121,6 +121,14 @@ class TestKoenig:
         assert main(["koenig", nlts, "--state", state]) == 3
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("registers", ["-1", "00", "+0", " 0", "\u0663"])
+    def test_nlts_registers_are_natural_numbers_written_as_str(self, capsys, registers):
+        # int() reads each of these as an atom, but only str(a) names a
+        state = f"l0[{registers}]"
+        assert main(["koenig", "gallery:nominal-two-label", "--state", state, "--format", "json"]) == 3
+        message = f"bad register list in {state!r}: registers are natural numbers, written as str(a)"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     @pytest.mark.parametrize(
         "state, message",
         # int() reads the first five as states, but only str(k) names k
@@ -421,6 +429,42 @@ class TestErrors:
         err = capsys.readouterr().err
         assert path in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "kind, mutate, path",
+        [
+            ("set-coalgebra", lambda d: d.update(bogus=1), "$.bogus"),
+            ("nlts", lambda d: d.update(bogus=1), "$.bogus"),
+            ("nlts", lambda d: d["rules"][0].update(bogus=1), "$.rules[0].bogus"),
+            ("nlts", lambda d: d["rules"][0]["to"][0].update(bogus=1), "$.rules[0].to[0].bogus"),
+            ("convex", lambda d: d.update(bogus=1), "$.bogus"),
+            ("signature", lambda d: d.update(bogus=1), "$.bogus"),
+            ("signature", lambda d: d["ops"][1].update(bogus=1), "$.ops[1].bogus"),
+            ("structure", lambda d: d.update(bogus=1), "$.bogus"),
+            ("structure", lambda d: d["args"][0].update(bogus=1), "$.args[0].bogus"),
+        ],
+        ids=["set-coalgebra", "nlts", "nlts-rule", "nlts-template", "convex", "signature", "signature-op",
+             "structure", "structure-arg"],
+    )
+    def test_unknown_key_is_refused(self, tmp_path, capsys, kind, mutate, path):
+        signature = signature_to_json(Signature((("z", 0), ("s", 1))))
+        sig = write(tmp_path, "sig.json", signature)
+        doc = {
+            "set-coalgebra": coalgebra_to_json(build_chain()),
+            "nlts": nlts_to_json(build_nominal_two_label()),
+            "convex": convex_to_json(build_convex_self_loop()),
+            "signature": signature,
+            "structure": {"op": "s", "args": [{"op": "z"}]},
+        }[kind]
+        mutate(doc)
+        file = write(tmp_path, "bad.json", doc)
+        argv = {
+            "signature": ["check-5.2", "--sig", file],
+            "structure": ["realize", "--sig", sig, "--structure", file],
+        }.get(kind, ["check-wf", file])
+        assert main(argv) == 3
+        assert capsys.readouterr() == ("", f"error: {path}: unknown field\n")
+
 
 
 class TestLimits:

@@ -8,11 +8,11 @@ from collections import Counter
 from collections.abc import Sequence
 
 from coalg.convex import CPolytope, ConvexSpec, convex_wf_fixpoint, unit
-from coalg.fixpoint import least_fixpoint, numbered, reach
+from coalg.fixpoint import least_fixpoint, reach
 from coalg.nominal import FRESH_CASE, NLTSSpec, Rule, Template, nominal_wf_labels
 from coalg.wellfounded import integer_ladder
 
-from genutil import all_graphs, random_assignment, random_graph, rng_for, round_ranks
+from genutil import all_graphs, numbered, random_assignment, random_graph, rng_for, round_ranks
 
 
 def fixpoint_by_name(succ, any_of=frozenset()):

@@ -1,7 +1,7 @@
 import pytest
 
 from coalg.errors import InputError, NotWellFoundedError, UnknownLabelError
-from coalg.fixpoint import least_fixpoint, numbered
+from coalg.fixpoint import least_fixpoint
 from coalg.nominal import (
     FRESH_CASE,
     NLTSSpec,
@@ -23,10 +23,13 @@ from coalg.nominal import (
 from genutil import (
     canonical_successor,
     nlts_to_json,
+    numbered,
     permute_atom,
     permute_state,
     random_nlts,
     random_permutation,
+    reference_orbit_graph,
+    reference_path_witness,
     rng_for,
     round_ranks,
     simulate,
@@ -81,6 +84,16 @@ class TestOrbitGraph:
 
     def test_self_loop_cycle(self):
         assert "l0" in orbit_graph(FRESH_LOOP)["l0"]
+
+    def test_numbered_graph_is_the_per_rule_graph(self):
+        rng = rng_for(149)
+        for _ in range(300):
+            spec = random_nlts(rng, max_labels=8, force_acyclic=rng.random() < 0.3)
+            graph = reference_orbit_graph(spec)
+            assert orbit_graph(spec) == graph
+            names, out = numbered(graph)
+            assert spec._names == tuple(names)
+            assert spec._out == tuple(tuple(sorted(targets)) for targets in out)
 
     def test_diamond_acyclic(self):
         spec = NLTSSpec(
@@ -173,6 +186,18 @@ class TestEquivariance:
 
 
 class TestLiftingAndProjection:
+    def test_witness_steps_match_the_reference_on_the_acceptance_specs(self):
+        # the specs of acceptance criterion 6, drawn in the same order
+        rng = rng_for(20_240_006)
+        specs = [random_nlts(rng, 6, force_acyclic=True) for _ in range(10)]
+        specs += [random_nlts(rng, 6) for _ in range(10)]
+        cyclic = [spec for spec in specs if not nominal_is_well_founded(spec)]
+        assert cyclic
+        for spec in cyclic:
+            lbl = min(set(spec.labels) - nominal_wf_labels(spec))
+            state = NState(lbl, tuple(range(spec.labels[lbl])))
+            assert path_witness(spec, state, 100) == reference_path_witness(spec, state, 100)
+
     def test_lifting_any_length_from_cycle_labels(self):
         rng = rng_for(127)
         built = 0
