@@ -15,6 +15,7 @@ import gc
 import importlib.util
 import json
 import os
+import re
 import sys
 
 from .errors import AnalysisError, InputError, NotWellFoundedError, check_fields
@@ -81,14 +82,18 @@ def _emit(doc: dict, config: argparse.Namespace, text_lines) -> None:
             _write(line)
 
 
-def _read_json(path: str):
+def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
+            return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+
+
+def _read_json(path: str, text=None):
+    """The JSON document in the file ``path``, whose ``text`` may be read already."""
     try:
-        return json.loads(raw)
+        return json.loads(_read_text(path) if text is None else text)
     except json.JSONDecodeError as exc:
         raise InputError(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
@@ -98,24 +103,39 @@ def _read_json(path: str):
         raise InputError(f"{path}: JSON nested too deeply (the limit is about {limit} levels)") from None
 
 
-def load_input(path: str, set_system=None):
+# a document that names its kind set-coalgebra before its first nested
+# value: only such a file is offered to the streaming reader, so that no
+# other kind of file runs the set-system modules
+_SET_KIND = re.compile(r'[ \t\n\r]*\{[^{\[]*?"kind"[ \t\n\r]*:[ \t\n\r]*"set-coalgebra"').match
+
+
+def load_input(path: str, reads_values=lambda container: False):
     """Returns (kind, object).  ``gallery:<name>`` addresses a fixture.
 
-    A ``set-coalgebra`` file is decoded by ``set_system``, by default
-    ``graph_from_json``: to its canonical graph, all that the verdict
-    commands read, with no structure value built; ``fold`` passes a decoder
-    that builds them where its algebra reads them."""
+    A ``set-coalgebra`` file is decoded to its canonical graph, all that
+    the verdict commands read, with no structure value built, unless
+    ``reads_values`` holds of its functor: ``fold`` passes that test where
+    its algebra reads structure values, and the file is decoded in full.
+    The file is read one structure entry at a time where its layout allows
+    (see ``coalgebras.system_from_text``), and as a whole document
+    otherwise, with the same result or error."""
     if path.startswith("gallery:"):
         entry = gallery.get_entry(path.split(":", 1)[1])
         obj = entry.build()
         kind = "set-coalgebra" if entry.kind == "lazy-coalgebra" else entry.kind
         return kind, obj
-    doc = _read_json(path)
+    text = _read_text(path)
+    if _SET_KIND(text):
+        system = coalgebras.system_from_text(text, reads_values)
+        if system is not None:
+            return "set-coalgebra", system
+    doc = _read_json(path, text)
+    del text  # the whole document's tree replaces it
     if not isinstance(doc, dict) or "kind" not in doc:
         raise InputError(f"{path}: expected a JSON object with a 'kind' field")
     kind = doc["kind"]
     if kind == "set-coalgebra":
-        return kind, (set_system or coalgebras.graph_from_json)(doc)
+        return kind, coalgebras.coalgebra_from_json(doc, reads_values)
     if kind == "nlts":
         return kind, nominal.nlts_from_json(doc)
     if kind == "convex":
@@ -256,7 +276,7 @@ def cmd_fold(path: str, config: argparse.Namespace) -> int:
     def reads_values(container) -> bool:
         return _built_in_algebra(config.algebra, container).eval_successors is None
 
-    kind, obj = load_input(path, lambda doc: coalgebras.coalgebra_from_json(doc, reads_values))
+    kind, obj = load_input(path, reads_values)
     if kind != "set-coalgebra" or isinstance(obj, coalgebras.LazyCoalgebra):
         raise InputError("fold needs a finite set-coalgebra input")
     values = wellfounded.solve_recursion(obj, _built_in_algebra(config.algebra, obj.container))

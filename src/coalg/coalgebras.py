@@ -9,6 +9,9 @@ analysis on them must be budget-guarded by the caller.
 
 from __future__ import annotations
 
+import json
+import re
+import sys
 from bisect import bisect_left
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -24,6 +27,7 @@ from .containers import (
     support,
 )
 from .errors import (
+    AnalysisError,
     ContainerMismatchError,
     DanglingRefError,
     InputError,
@@ -146,18 +150,24 @@ class FiniteCoalgebra(NumberedGraph):
 
 def _check_carrier(states: Sequence[str], structure: Mapping, states_at: str = "", structure_at: str = "") -> dict:
     """The carrier of a system, or the new states of an extension: its
-    state ids, checked distinct and with ``structure`` total on them, each
-    mapped to its index in sorted order.  An error begins with
-    ``states_at`` or ``structure_at``, the place that the caller names."""
-    carrier = dict(zip(sorted(states), range(len(states))))
-    if len(carrier) != len(states):
-        raise InputError(f"{states_at}duplicate state ids in carrier")
+    state ids, checked distinct (by :func:`_numbered`) and with
+    ``structure`` total on them.  An error begins with ``states_at`` or
+    ``structure_at``, the place that the caller names."""
+    carrier = _numbered(states, states_at)
     if structure.keys() != carrier.keys():
         missing = sorted(carrier.keys() - structure.keys())
         extra = sorted(structure.keys() - carrier.keys())
         raise InputError(
             f"{structure_at}structure must be total on the carrier (missing {missing}, extra {extra})"
         )
+    return carrier
+
+
+def _numbered(states: Sequence[str], states_at: str = "") -> dict:
+    """Each of the distinct state ids ``states`` mapped to its sorted index."""
+    carrier = dict(zip(sorted(states), range(len(states))))
+    if len(carrier) != len(states):
+        raise InputError(f"{states_at}duplicate state ids in carrier")
     return carrier
 
 
@@ -445,10 +455,9 @@ def coalgebra_to_json(coalg: FiniteCoalgebra) -> dict:
     }
 
 
-def _system_document(doc) -> tuple[Container, list, dict, dict]:
-    """The functor, states and structure entries of a ``set-coalgebra``
-    document, and its carrier numbered by :func:`_check_carrier`: the checks
-    that come before any structure is decoded, the same for every decoder."""
+def _system_header(doc) -> tuple[Container, list]:
+    """The functor and states of a ``set-coalgebra`` document: the checks
+    that come before its structure is read, the same for every reader."""
     check_header(doc, "set-coalgebra", ("functor", "states", "structure"))
     for field in ("functor", "states", "structure"):
         if field not in doc:
@@ -457,10 +466,16 @@ def _system_document(doc) -> tuple[Container, list, dict, dict]:
     states = doc["states"]
     if not isinstance(states, list) or not all(isinstance(s, str) for s in states):
         raise InputError("$.states: expected a list of state ids")
-    raw = doc["structure"]
-    if not isinstance(raw, dict):
-        raise InputError("$.structure: expected an object")
-    return container, states, raw, _check_carrier(states, raw, "$.states: ", "$.structure: ")
+    return container, states
+
+
+def _decoded(container: Container, states: list, carrier: dict, values: bool, entries) -> NumberedGraph:
+    """The system of the structure ``entries``, with its values if
+    ``values`` holds; a state that no entry came for has successors None."""
+    structure, out = structure_decoder(container, carrier, values)(entries, "$.structure.")
+    if values:
+        return FiniteCoalgebra._trusted(container, tuple(states), structure, carrier, out)
+    return NumberedGraph(container, tuple(states), carrier, out)
 
 
 def coalgebra_from_json(doc, full: Callable[[Container], bool] = lambda container: True) -> NumberedGraph:
@@ -469,9 +484,11 @@ def coalgebra_from_json(doc, full: Callable[[Container], bool] = lambda containe
     Each state's structure is checked against the functor, canonicalized and
     its successors collected in one walk (see
     :func:`coalg.containers.structure_decoder`).  Errors name the JSON path.
-    The entries of ``doc["structure"]`` are removed as they are decoded, so
-    the JSON of a decoded state can be freed at once; on success
-    ``doc["structure"]`` is left empty and the rest of ``doc`` unchanged.
+    The entries of ``doc["structure"]`` are popped one at a time as they
+    are decoded, so the JSON of a decoded state is freed at once; on
+    success ``doc["structure"]`` is left empty and the rest of ``doc``
+    unchanged.  (A file is read without its whole tree where its layout
+    allows: see :func:`system_from_text`.)
 
     The result is a :class:`FiniteCoalgebra` if ``full`` holds of the
     functor, which is read before any structure is, and otherwise the
@@ -479,15 +496,88 @@ def coalgebra_from_json(doc, full: Callable[[Container], bool] = lambda containe
     same checks in the same order, with the same errors, and no structure
     value built.
     """
-    container, states, raw, carrier = _system_document(doc)
-    values = full(container)
-    structure, out = structure_decoder(container, carrier, values)(raw, "$.structure.")
-    if values:
-        return FiniteCoalgebra._trusted(container, tuple(states), structure, carrier, out)
-    return NumberedGraph(container, tuple(states), carrier, out)
+    container, states = _system_header(doc)
+    raw = doc["structure"]
+    if not isinstance(raw, dict):
+        raise InputError("$.structure: expected an object")
+    carrier = _check_carrier(states, raw, "$.states: ", "$.structure: ")
+    return _decoded(container, states, carrier, full(container), ((key, raw.pop(key)) for key in list(raw)))
 
 
-def graph_from_json(doc) -> NumberedGraph:
-    """The canonical graph of a ``set-coalgebra`` document (see
-    :func:`coalgebra_from_json`)."""
-    return coalgebra_from_json(doc, lambda container: False)
+# the streaming reader: its patterns read JSON's whitespace as json.decoder
+# does, and json's own scanner reads each value, as json.loads reads it
+_WS = json.decoder.WHITESPACE.pattern
+_OPEN = re.compile(_WS + r"\{").match
+_KEY = re.compile(_WS + r'"([^"\\\x00-\x1f]*)"' + _WS + ":" + _WS).match  # a key with no escape
+_QUOTE, _COLON = re.compile(_WS + '"').match, re.compile(_WS + ":" + _WS).match
+_COMMA = re.compile(_WS + ",").match
+_CLOSE = re.compile(_WS + r"\}" + _WS + r"\}" + _WS).fullmatch  # the structure, then the document, ends
+_SCAN = json.JSONDecoder().scan_once  # the JSON value at an index, and its end
+# how far below the recursion limit the reader runs: json.loads meets an
+# entry a few frames deeper, so the reader must refuse a little sooner;
+# the limit is the process's, so one thread at a time may read
+_DEPTH_MARGIN = 50
+
+
+def system_from_text(text: str, full: Callable[[Container], bool]) -> Optional[NumberedGraph]:
+    """What :func:`coalgebra_from_json` makes of ``json.loads(text)``, read
+    one structure entry at a time, each entry's JSON dropped once it is
+    walked: the memory is the text and the system, not the document's tree.
+    None where this reader cannot tell that result: unless ``structure``
+    comes after the other fields and ends the document, on any JSON error
+    or failed check, and within ``_DEPTH_MARGIN`` frames of the recursion
+    limit.  The document read whole then gives its result or its error."""
+    limit = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(limit - _DEPTH_MARGIN)
+        doc, i = {}, _past(_OPEN, text, 0)
+        key, i = _member(text, i)
+        while key != "structure":  # a repeated field keeps its last value, as in json.loads
+            doc[key], i = _SCAN(text, i)
+            key, i = _member(text, _past(_COMMA, text, i))
+        container, states = _system_header({**doc, "structure": {}})
+        system = _decoded(container, states, _numbered(states), full(container), _entries(text, i))
+        return None if None in system._out else system
+    except (AnalysisError, KeyError, RuntimeError, StopIteration, ValueError):
+        # KeyError: a key outside the carrier; StopIteration: no JSON value
+        # where one must be, which comes out of _entries as a RuntimeError,
+        # the class of RecursionError
+        return None
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def _member(text: str, i: int) -> tuple[str, int]:
+    """The key of the object member at ``text[i]`` and the index of its value."""
+    m = _KEY(text, i)
+    if m is not None:
+        return m[1], m.end()
+    key, i = json.decoder.scanstring(text, _past(_QUOTE, text, i))
+    return key, _past(_COLON, text, i)
+
+
+def _past(pattern, text: str, i: int) -> int:
+    """The end of ``pattern``, which must match at ``text[i]``."""
+    m = pattern(text, i)
+    if m is None:
+        raise ValueError("not JSON that the reader takes")
+    return m.end()
+
+
+def _entries(text: str, i: int):
+    """The members of the JSON object at ``text[i]`` as (key, value) pairs,
+    each value scanned when it is reached; the object must end the
+    document, or a ValueError follows the last pair."""
+    i = _past(_OPEN, text, i)
+    if _CLOSE(text, i) is not None:  # an empty object
+        return
+    while True:
+        key, i = _member(text, i)
+        value, i = _SCAN(text, i)
+        yield key, value
+        m = _COMMA(text, i)
+        if m is None:
+            break
+        i = m.end()
+    if _CLOSE(text, i) is None:
+        raise ValueError("the structure does not end the document")

@@ -638,15 +638,17 @@ def structure_decoder(container: Container, carrier: dict, values: bool = True):
 
     ``carrier`` maps each state name to its index: the names in sorted
     order, numbered from 0, so that a set of states sorts as its indices do.
-    ``decode(docs, where="$")`` decodes each value of the dict ``docs``,
-    whose keys are carrier names, and removes it there.  It returns
-    ``(values, out)``: the values keyed as in ``docs``, and the successors
-    of each carrier state, ``out[carrier[key]]`` the indices of the states
-    of the value at ``key``, in a tuple.  One walk of a document checks it
-    against the container and its state names against the carrier, and
-    builds the canonical value that :func:`structure_from_json` builds, with
-    one ``StateRef`` per name.  An error names the JSON path ``where``, then
-    the key, then the steps in it.
+    ``decode(entries, where="$")`` decodes each value of ``entries``, pairs
+    ``(key, doc)`` whose keys are carrier names, as the pair is reached, so
+    that an entry's JSON can be freed as soon as it is decoded.  It returns
+    ``(values, out)``: the values keyed as in ``entries``, and the
+    successors of each carrier state, ``out[carrier[key]]`` the indices of
+    the states of the value at ``key``, in a tuple, or None where no entry
+    came; a key that comes twice keeps its last value.  One walk of a
+    document checks it against the container and its state names against
+    the carrier, and builds the canonical value that
+    :func:`structure_from_json` builds, with one ``StateRef`` per name.  An
+    error names the JSON path ``where``, then the key, then the steps in it.
 
     With ``values`` false the decoder runs the graph walk: the same checks
     in the same order, with the same errors, and the same ``out``, but no
@@ -659,12 +661,12 @@ def structure_decoder(container: Container, carrier: dict, values: bool = True):
     if not values and "" in carrier:
         interned[carrier[""]] = None
 
-    def decode(docs: dict, where: str = "$"):
-        kept, out = {} if values else None, [()] * len(carrier)
-        for key in list(docs):
+    def decode(entries, where: str = "$"):
+        kept, out = {} if values else None, [None] * len(carrier)
+        for key, doc in entries:
             refs: set[int] = set()
             try:
-                v = root(docs.pop(key), refs, carrier, interned)
+                v = root(doc, refs, carrier, interned)
             except _Mismatch as exc:
                 raise exc.error(f"{where}{key}{''.join(reversed(exc.steps))}: {exc.msg}") from None
             if values:

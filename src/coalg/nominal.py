@@ -316,8 +316,10 @@ def nlts_from_json(doc) -> NLTSSpec:
 
 
 def state_from_text(text: str) -> NState:
-    """Parse ``label[a0,a1,...]`` (or a bare label for arity 0)."""
-    text = text.strip()
+    """Parse ``label[a0,a1,...]`` (or a bare label for arity 0), with no
+    whitespace around it."""
+    if text != text.strip():
+        raise InputError(f"bad state syntax: {text!r}")
     if "[" not in text:
         return NState(text, ())
     if not text.endswith("]"):

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 import coalg.cli as cli
 import coalg.coalgebras as coalgebras
 from coalg.cli import build_parser, export_dot, main
-from coalg.coalgebras import Algebra, coalgebra_from_json, coalgebra_to_json, count_algebra, induction_algebra
+from coalg.coalgebras import Algebra, coalgebra_to_json, count_algebra, induction_algebra
 from coalg.containers import Pair, SetOf, StateRef
 from coalg.gallery import (
     GALLERY,
@@ -37,6 +38,7 @@ from genutil import (
     rng_for,
     run_cli,
     signature_to_json,
+    state_names,
 )
 
 
@@ -128,6 +130,11 @@ class TestKoenig:
         assert main(["koenig", "gallery:nominal-two-label", "--state", state, "--format", "json"]) == 3
         message = f"bad register list in {state!r}: registers are natural numbers, written as str(a)"
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("state", [" l0[0] ", "l0[0]\n", "\tl1"])
+    def test_nlts_state_names_have_no_whitespace_around_them(self, capsys, state):
+        assert main(["koenig", "gallery:nominal-two-label", "--state", state, "--format", "json"]) == 3
+        assert capsys.readouterr() == ("", f"error: bad state syntax: {state!r}\n")
 
     @pytest.mark.parametrize(
         "state, message",
@@ -869,41 +876,45 @@ class TestVerdictsReadTheGraph:
         assert len(interpreted) == 3
 
     def test_only_fold_decodes_structure_values(self):
-        def decodes(node):  # coalgebras.coalgebra_from_json
-            return (
-                isinstance(node, ast.Attribute)
-                and node.attr == "coalgebra_from_json"
-                and getattr(node.value, "id", None) == "coalgebras"
-            )
-
+        """load_input decodes values where its test of the functor holds,
+        and only fold passes one."""
         tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
         users = {
             fn.name
             for fn in ast.walk(tree)
             if isinstance(fn, ast.FunctionDef)
             for node in ast.walk(fn)
-            if decodes(node)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "load_input" and len(node.args) > 1
         }
         assert users == {"cmd_fold"}
-        # and it passes the test of the functor that picks the walk
-        calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and decodes(n.func)]
-        assert [len(call.args) for call in calls] == [2]
+        # and load_input hands the test on to both readers
+        calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and getattr(n.func, "attr", None) in
+                 ("coalgebra_from_json", "system_from_text")]
+        assert [ast.unparse(call.args[1]) for call in calls] == ["reads_values", "reads_values"]
 
     def test_verdicts_match_the_full_decode(self, tmp_path, monkeypatch, capsys):
         """Every verdict command, and fold with each built-in algebra, gives
         the output and exit code it gives when the file is decoded to its
         full system and every shape is interpreted, also on malformed
         files."""
-        load_input, rng = cli.load_input, rng_for(1818)
+        load_input, system_from_text, rng = cli.load_input, coalgebras.system_from_text, rng_for(1818)
+        layout_rng, bailed = rng_for(1819), Counter()
 
-        def full_decode(path, set_system=None):
-            return load_input(path, coalgebra_from_json)
+        def streamed(text, full):
+            system = system_from_text(text, full)
+            bailed[system is None] += 1
+            return system
 
-        # (module, attribute, value) per way
+        def full_decode(path, reads_values=None):
+            return load_input(path, lambda container: True)
+
+        # (module, attribute, value) per way; the second reads every file
+        # whole, with json.loads, and decodes it in full
         ways = [
-            [(cli, "load_input", load_input), (coalgebras, "count_algebra", count_algebra),
-             (coalgebras, "induction_algebra", induction_algebra)],
-            [(cli, "load_input", full_decode), (coalgebras, "count_algebra", interpreting(count_algebra)),
+            [(cli, "load_input", load_input), (coalgebras, "system_from_text", streamed),
+             (coalgebras, "count_algebra", count_algebra), (coalgebras, "induction_algebra", induction_algebra)],
+            [(cli, "load_input", full_decode), (coalgebras, "system_from_text", lambda text, full: None),
+             (coalgebras, "count_algebra", interpreting(count_algebra)),
              (coalgebras, "induction_algebra", interpreting(induction_algebra))],
         ]
 
@@ -914,7 +925,14 @@ class TestVerdictsReadTheGraph:
             if k % 3 == 2:
                 x = rng.choice(system.states)
                 doc["structure"][x] = malformed(rng, doc["structure"][x], list(system.states))
-            path = write(tmp_path, "system.json", doc)
+            # as written, indented, or indented with the top-level keys
+            # shuffled, so that a file is streamed or read whole
+            layout = (k // 3) % 3
+            if layout == 2:
+                doc = dict(layout_rng.sample(list(doc.items()), len(doc)))
+            path = tmp_path / "system.json"
+            path.write_text(json.dumps(doc, indent=2 if layout else None), encoding="utf-8")
+            path = str(path)
             state = rng.choice(system.states)
             runs = [["export-dot", path]] + [
                 argv + ["--format", fmt]
@@ -939,6 +957,140 @@ class TestVerdictsReadTheGraph:
                 assert outputs[0] == outputs[1], argv
                 codes[outputs[0][2]] += 1
         assert min(codes[c] for c in range(4)) >= 10  # every exit code, each many times
+        assert min(bailed.values()) >= 100, bailed  # files streamed, and files read whole
+
+
+CHAIN_DOC = finpow_system({"a": ["b"], "b": ["c"], "c": []})
+CHAIN_TEXT = json.dumps(CHAIN_DOC)
+# the structure object as written, and each entry in it
+CHAIN_STRUCTURE = json.dumps(CHAIN_DOC["structure"])
+ENTRY = {x: json.dumps(v) for x, v in CHAIN_DOC["structure"].items()}
+
+
+def _with_structure(text):
+    return CHAIN_TEXT.replace(CHAIN_STRUCTURE, text)
+
+
+def _nested(n, leaf='{"state": "c"}'):
+    """A value of finpow(id) n sets deep, written out, as json.dumps would
+    refuse to nest it."""
+    return '{"set": [' * n + leaf + "]}" * n
+
+
+# document -> (its text, whether the streaming reader takes it)
+CRAFTED = {
+    "indented": (json.dumps(CHAIN_DOC, indent=2), True),
+    "tabs and CRLF": (json.dumps(CHAIN_DOC, indent="\t").replace("\n", "\r\n"), True),
+    "kind first": (json.dumps({"kind": "set-coalgebra", **CHAIN_DOC}), True),
+    "escaped state key": (CHAIN_TEXT.replace('{"a": {', '{"\\u0061": {'), True),
+    "empty carrier": (json.dumps({**CHAIN_DOC, "states": [], "structure": {}}), True),
+    "repeated entry, the first malformed": (_with_structure(CHAIN_STRUCTURE.replace("{", '{"a": {"set": 5}, ', 1)), False),
+    "repeated structure": (CHAIN_TEXT[:-1] + f', "structure": {CHAIN_STRUCTURE}}}', False),
+    "structure before states": (json.dumps(dict(sorted(CHAIN_DOC.items(), key=lambda kv: kv[0] != "structure"))), False),
+    "sorted keys": (json.dumps(CHAIN_DOC, sort_keys=True), False),
+    "bogus after structure": (json.dumps({**CHAIN_DOC, "bogus": 1}), False),
+    "bad entry, then a syntax error": (
+        _with_structure(CHAIN_STRUCTURE.replace(ENTRY["a"], '{"set": [{"state": "z"}]}'))[:-1] + ",}", False
+    ),
+    "BOM": ("\ufeff" + CHAIN_TEXT, False),
+    "trailing data": (CHAIN_TEXT + " []", False),
+    "missing entry": (json.dumps({**CHAIN_DOC, "structure": {"a": CHAIN_DOC["structure"]["a"]}}), False),
+    "entry nested 5000 deep": (_with_structure(CHAIN_STRUCTURE.replace(ENTRY["a"], _nested(5000))), False),
+    "NaN entry": (_with_structure(CHAIN_STRUCTURE.replace(ENTRY["c"], "NaN")), False),
+}
+
+
+class TestStreamedRead:
+    """A set-coalgebra file is read one structure entry at a time where its
+    layout allows, and whole otherwise: every command gives the output,
+    error and exit code of reading it whole with json.loads."""
+
+    RUNS = [["export-dot"]] + [
+        argv + ["--format", fmt]
+        for fmt in ("json", "text")
+        for argv in (["check-wf"], ["koenig", "--state", "a"], ["fold", "--algebra", "count"], ["fold", "--algebra", "term"])
+    ]
+
+    @staticmethod
+    def run(argv, capsys, whole=False):
+        """(exit code, stdout, stderr) of ``argv``, reading its file whole
+        with json.loads if ``whole``."""
+        with pytest.MonkeyPatch.context() as patch:
+            if whole:
+                patch.setattr(coalgebras, "system_from_text", lambda text, full: None)
+            return main(argv), *capsys.readouterr()
+
+    def outputs(self, path, capsys, runs):
+        """Each run's outputs as the file is read, and as it is read whole."""
+        return [[self.run([argv[0], path, *argv[1:]], capsys, whole) for argv in runs] for whole in (False, True)]
+
+    @pytest.mark.parametrize("name", sorted(CRAFTED))
+    def test_crafted_documents(self, name, tmp_path, capsys):
+        text, streams = CRAFTED[name]
+        assert (coalgebras.system_from_text(text, lambda container: False) is not None) == streams
+        path = tmp_path / "system.json"
+        path.write_text(text, encoding="utf-8")
+        streamed, whole = self.outputs(str(path), capsys, self.RUNS)
+        assert streamed == whole
+
+    def test_depths_that_json_loads_refuses_are_refused(self, tmp_path, capsys):
+        """json.loads meets an entry some frames deeper than the reader:
+        the reader still takes no entry that json.loads finds too deep."""
+
+        def document(n):
+            functor = '{"id": null}'
+            for _ in range(n):
+                functor = '{"finpow": ' + functor + "}"
+            structure = "{" + ", ".join(f'"{x}": {_nested(n)}' for x in "abc") + "}"
+            text = CHAIN_TEXT.replace(json.dumps(CHAIN_DOC["functor"]), functor).replace(CHAIN_STRUCTURE, structure)
+            path = tmp_path / f"deep{n}.json"
+            path.write_text(text, encoding="utf-8")
+            return str(path)
+
+        def refused(n):  # by json.loads, here
+            code, _, err = self.run(["check-wf", document(n)], capsys, whole=True)
+            return code == 3 and "nested too deeply" in err
+
+        low, high = 1, 1000  # refused(high), and not refused(low)
+        while high - low > 1:
+            mid = (low + high) // 2
+            low, high = (low, mid) if refused(mid) else (mid, high)
+        for n in range(high - 8, high + 3):
+            streamed, whole = self.outputs(document(n), capsys, [["check-wf"]])
+            assert streamed == whole, n
+
+    def test_memory_is_the_text_and_the_graph(self, tmp_path):
+        """The streamed read of a 20 000-state file peaks below a third of
+        json.loads alone on its text."""
+        names = state_names(20_000)
+        doc = finpow_system({x: names[i + 1 : i + 4] for i, x in enumerate(names)})
+        path = write(tmp_path, "dag.json", doc)
+        text = Path(path).read_text(encoding="utf-8")
+        del doc
+
+        def peak(read):
+            tracemalloc.start()
+            try:
+                read()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert cli.load_input(path)[1]._out[0] == (1, 2, 3)  # and the walk is compiled
+        streamed, whole = peak(lambda: cli.load_input(path)), peak(lambda: json.loads(text))
+        assert streamed * 3 < whole, (streamed, whole)
+
+    def test_json_loads_runs_only_where_the_reader_bails(self, tmp_path, monkeypatch, capsys):
+        loads, calls = json.loads, []
+        monkeypatch.setattr(json, "loads", lambda *args, **kwargs: calls.append(args) or loads(*args, **kwargs))
+        good = write(tmp_path, "good.json", CHAIN_DOC)
+        bad = write(tmp_path, "bad.json", {**CHAIN_DOC, "structure": {"a": CHAIN_DOC["structure"]["a"]}})
+        assert main(["check-wf", good]) == 0
+        assert main(["fold", good, "--algebra", "term"]) == 0
+        assert len(calls) == 0
+        assert main(["check-wf", bad]) == 3
+        assert len(calls) == 1
+        capsys.readouterr()
 
 
 class TestClosedStdout:

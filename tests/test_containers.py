@@ -296,7 +296,7 @@ def decode_one(container, carrier, doc, where="$", values=True):
     refuse a reference to the empty name all the same."""
     names = sorted(set(carrier) | {""})
     at = dict(zip(names, range(len(names))))
-    decoded, out = structure_decoder(container, at, values)({"": doc}, where)
+    decoded, out = structure_decoder(container, at, values)([("", doc)], where)
     refs = frozenset(names[i] for i in out[at[""]])
     return (decoded[""], refs) if values else refs
 
@@ -334,9 +334,9 @@ class TestStructureDecoder:
 
     def test_equal_state_refs_are_shared(self):
         decode = structure_decoder(Product((Identity(), Identity())), {"a": 0, "b": 1})
-        values, _ = decode({"a": {"tuple": [{"state": "a"}, {"state": "a"}]}})
+        values, _ = decode([("a", {"tuple": [{"state": "a"}, {"state": "a"}]})])
         assert values["a"].items[0] is values["a"].items[1]
-        assert decode({"b": {"tuple": [{"state": "a"}, {"state": "a"}]}})[0]["b"].items[0] is values["a"].items[0]
+        assert decode([("b", {"tuple": [{"state": "a"}, {"state": "a"}]})])[0]["b"].items[0] is values["a"].items[0]
 
     @pytest.mark.parametrize(
         "container, doc, error",
@@ -369,7 +369,7 @@ class TestStructureDecoder:
 
     def test_where_prefixes_the_path(self):
         with pytest.raises(InputError, match=r"^\$\.structure\.s\.set\[0\]\.state: "):
-            structure_decoder(GRAPH, {"a": 0, "s": 1})({"s": {"set": [{"state": "b"}]}}, "$.structure.")
+            structure_decoder(GRAPH, {"a": 0, "s": 1})([("s", {"set": [{"state": "b"}]})], "$.structure.")
 
 
 class TestConstructors:
@@ -476,11 +476,11 @@ class TestCompiledWalks:
                 if isinstance(expected, tuple):
                     error, message = expected
                     with pytest.raises(error, match=f"^{message}$"):
-                        decode({"a": json.loads(json.dumps(doc))}, "$.structure.")
+                        decode([("a", json.loads(json.dumps(doc)))], "$.structure.")
                     with pytest.raises(error, match=f"^{message}$"):
                         reference(doc, "$.structure.a")
                     continue
-                decoded, out = decode({"": {"set": []}, "a": json.loads(json.dumps(doc)), "b": {"set": []}})
+                decoded, out = decode([("", {"set": []}), ("a", json.loads(json.dumps(doc))), ("b", {"set": []})])
                 names = sorted(carrier)
                 assert {names[i] for i in out[1]} == expected == reference(doc)[1]
                 assert out[0] == out[2] == ()

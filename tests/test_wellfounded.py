@@ -10,10 +10,10 @@ from coalg.coalgebras import (
     BudgetExhausted,
     FiniteCoalgebra,
     LazyCoalgebra,
+    coalgebra_from_json,
     coalgebra_to_json,
     coproduct_extension,
     count_algebra,
-    graph_from_json,
     induction_algebra,
     is_cartesian_subcoalgebra,
     is_subcoalgebra,
@@ -469,7 +469,7 @@ class TestFoldOnTheGraph:
     def test_the_graph_gives_the_interpreted_values(self):
         seen = Counter()
         for system in self.systems():
-            graph = graph_from_json(coalgebra_to_json(system))
+            graph = coalgebra_from_json(coalgebra_to_json(system), lambda container: False)
             for make in (count_algebra, induction_algebra):
                 alg = make(system.container)
                 if has_pairneq(system.container):  # the ladder window
@@ -485,7 +485,7 @@ class TestFoldOnTheGraph:
             report = well_founded_part(system)
             if has_pairneq(system.container) or not report.is_well_founded:
                 continue
-            graph = graph_from_json(coalgebra_to_json(system))
+            graph = coalgebra_from_json(coalgebra_to_json(system), lambda container: False)
             assert solve_recursion(graph, count_algebra(graph.container)) == {x: r - 1 for x, r in report.rank.items()}
             assert set(solve_recursion(graph, induction_algebra(graph.container)).values()) == {1}
 
