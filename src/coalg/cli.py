@@ -63,6 +63,8 @@ def _write(line: str) -> None:
     documentation of the signal module)."""
     try:
         print(line)
+    except UnicodeEncodeError:  # as a lone surrogate in a name: escaped, as on stderr
+        _write(line.encode(sys.stdout.encoding, "backslashreplace").decode(sys.stdout.encoding))
     except BrokenPipeError:
         _stdout_to_devnull()
 
@@ -98,6 +100,8 @@ def _read_json(path: str, text=None):
         raise InputError(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except ValueError:  # an integer longer than Python converts
+        raise InputError(f"{path}: an integer has more than {sys.get_int_max_str_digits()} digits") from None
     except RecursionError:
         limit = sys.getrecursionlimit()
         raise InputError(f"{path}: JSON nested too deeply (the limit is about {limit} levels)") from None
@@ -240,19 +244,20 @@ def _shape_to_jsonable(container, shape):
     unfolding, itself a value of ``container``."""
 
     def convert(c, v):
-        if isinstance(c, containers.Identity):
+        kind, kids, _ = containers._node(c)
+        if kind == "id":
             return convert(container, v)
-        if isinstance(c, containers.Const):
+        if kind == "const":
             return v
-        if isinstance(c, containers.Sum):
+        if kind == "sum":
             tag, inner = v
-            return {tag: convert(c.left if tag == "inl" else c.right, inner)}
-        if isinstance(c, containers.Product):
-            return [convert(part, x) for part, x in zip(c.parts, v)]
-        if isinstance(c, containers.FinPow):
-            return {"set": sorted((convert(c.inner, x) for x in v), key=json.dumps)}
-        if isinstance(c, containers.Exp):
-            return [[label, convert(c.base, x)] for label, x in v]
+            return {tag: convert(kids[tag == "inr"], inner)}
+        if kind == "product":
+            return [convert(part, x) for part, x in zip(kids, v)]
+        if kind == "finpow":
+            return {"set": sorted((convert(kids[0], x) for x in v), key=json.dumps)}
+        if kind == "exp":
+            return [[label, convert(kids[0], x)] for label, x in v]
         if isinstance(v, containers.Star):  # PairNeq
             return {"star": None}
         return {"pair": [convert(container, v[1]), convert(container, v[2])]}

@@ -304,14 +304,15 @@ def structure_to_json(h: HStructure):
 
 
 # ---------------------------------------------------------------------------
-# the walks that check a value against its container, compiled once per
-# container: the decoder, its graph walk, and support
+# the walks that check a value against its container, reading its nodes
+# through ``_node``: ``support``, a loop with an explicit stack, and the file
+# decoder with its graph walk, compiled once per container
 #
-# Each walk is Python source generated for one container, as records.py
-# generates methods: a function ``w<k>`` per distinct sub-container k runs
-# the node's checks inline and inlines an Identity or Const child, so no
-# walk dispatches on the container at run time.  Block nesting is fixed, so
-# a container of any depth compiles; a walk takes one frame per value level.
+# Each compiled walk is Python source generated as records.py generates
+# methods: a function ``w<k>`` per distinct sub-container k runs the node's
+# checks inline and inlines an Identity or Const child, so neither walk
+# dispatches on the container at run time.  Block nesting is fixed, so a
+# container of any depth compiles; a walk takes one frame per value level.
 #
 # decoding JSON: w<k>(doc, refs, at, interned) is the value ``doc`` spells,
 # the indices of its states added to ``refs``; ``at`` gives the index of each
@@ -396,49 +397,13 @@ _DECODE = dict(
     return Pair(*pair)  # value""",
 )
 
-# checking a value: w<k>(h, out) raises InputError unless ``h`` is a value
-# of node k, and adds its states to ``out``.  The checks run in the order of
-# a depth-first walk that takes a node's children from the last.
-_SUPPORT = dict(
-    id=["if type(x) is not StateRef or not x.state: raise _shape_error(C{j}, x)", "out.add(x.state)"],
-    const=["if type(x) is not ConstVal or x.label not in C{j}.labels: raise _shape_error(C{j}, x)"],
-    call=["w{j}(x, out)"],
-    key={"id": "v.state", "const": "v.label"},
-    leaf="def w{k}(x, out):\n    {child}",
-    sum="""def w{k}(h, out):
-    if type(h) is not InL and type(h) is not InR: raise _shape_error(C{k}, h)
-    x = h.value
-    if type(h) is InL:
-        {child}
-    else:
-        {right}""",
-    product="""def w{k}(h, out):
-    if type(h) is not TupleOf or len(h.items) != {n}: raise _shape_error(C{k}, h)
-    for f, x in zip(reversed(wP{k}), reversed(h.items)): f(x, out)""",
-    finpow="""def w{k}(h, out):
-    if type(h) is not SetOf: raise _shape_error(C{k}, h)
-    for x in reversed(h.items):
-        {child}
-    keys = [{key} for v in h.items]
-    if any(map(operator.ge, keys, keys[1:])): raise InputError(f"set {{h!r}} is not sorted and duplicate-free")""",
-    exp="""def w{k}(h, out):
-    if type(h) is not FunOf or [l for l, _ in h.entries] != S{k}: raise _shape_error(C{k}, h)
-    for _, x in reversed(h.entries):
-        {child}""",
-    pairneq="""def w{k}(h, out):
-    if type(h) is Pair and h.left != h.right:
-        for x in (h.right, h.left):
-            {child}
-    elif type(h) is not Star: raise _shape_error(C{k}, h)""",
-)
-
 # the graph walk: the decoder's templates, less their lines marked # value
 _GRAPH = {
     name: "\n".join(line for line in t.split("\n") if "  # value" not in line) if isinstance(t, str) else t
     for name, t in _DECODE.items()
 }
 
-_WALKS = {"decode": _DECODE, "graph": _GRAPH, "support": _SUPPORT}
+_WALKS = {"decode": _DECODE, "graph": _GRAPH}
 
 
 def _compile(container, walk: str):
@@ -547,10 +512,6 @@ def _walk(container, walk: str):
         return fn
 
 
-def _shape_error(container, h):
-    return InputError(f"structure {h!r} does not match container {container!r}")
-
-
 class _Mismatch(Exception):
     """A decode error, raised as an ``error``; each enclosing node adds its
     step to the JSON path."""
@@ -598,10 +559,9 @@ def _bad_leaf(x, tag: str, labels) -> _Mismatch:
 
 
 _SCOPE = dict(  # the names the generated code uses
-    InL=InL, InR=InR, TupleOf=TupleOf, SetOf=SetOf, FunOf=FunOf, Star=Star, STAR=STAR, Pair=Pair,
-    StateRef=StateRef, ConstVal=ConstVal, InputError=InputError, _canonical=_canonical,
+    InL=InL, InR=InR, TupleOf=TupleOf, FunOf=FunOf, STAR=STAR, Pair=Pair, _canonical=_canonical,
     _Mismatch=_Mismatch, _tag_error=_tag_error, _body=_body, _bad_leaf=_bad_leaf, _intern=_intern,
-    _shape_error=_shape_error, structure_key=structure_key, operator=operator,
+    structure_key=structure_key,
 )
 
 
@@ -613,6 +573,10 @@ def _leaf_maker(walk: str, kind: str):
 
 
 _LEAVES = {(walk, kind): _leaf_maker(walk, kind) for walk in _WALKS for kind in ("id", "const")}
+
+
+def _shape_error(container, h):
+    return InputError(f"structure {h!r} does not match container {container!r}")
 
 
 def support(container: Container, h: HStructure) -> frozenset[str]:
@@ -629,7 +593,33 @@ def support(container: Container, h: HStructure) -> frozenset[str]:
     raises :class:`InputError`.
     """
     out: set[str] = set()
-    _walk(container, "support")(h, out)
+    todo = [(container, h)]  # the last child is checked first
+    while todo:
+        c, h = todo.pop()
+        if c is None:  # the members of the set h are checked: now their order
+            keys = list(map(structure_key, h.items))
+            if any(map(operator.ge, keys, keys[1:])):
+                raise InputError(f"set {h!r} is not sorted and duplicate-free")
+            continue
+        kind, kids, labels = _node(c)
+        t = type(h)
+        if kind == "id" and t is StateRef and h.state:
+            out.add(h.state)
+        elif kind == "const" and t is ConstVal and h.label in labels:
+            pass
+        elif kind == "sum" and (t is InL or t is InR):
+            todo.append((kids[t is InR], h.value))
+        elif kind == "product" and t is TupleOf and len(h.items) == len(kids):
+            todo += zip(kids, h.items)
+        elif kind == "finpow" and t is SetOf:
+            todo.append((None, h))
+            todo += zip(repeat(kids[0]), h.items)
+        elif kind == "exp" and t is FunOf and [lbl for lbl, _ in h.entries] == sorted(labels):
+            todo += zip(repeat(kids[0]), [v for _, v in h.entries])
+        elif kind == "pairneq" and t is Pair and h.left != h.right:  # kids[0] is a state slot
+            todo += ((kids[0], h.left), (kids[0], h.right))
+        elif kind != "pairneq" or t is not Star:
+            raise _shape_error(c, h)
     return frozenset(out)
 
 
@@ -682,26 +672,17 @@ def structure_decoder(container: Container, carrier: dict, values: bool = True):
 
 
 def container_to_json(container: Container):
-    if isinstance(container, Identity):
-        return {"id": None}
-    if isinstance(container, Const):
-        return {"const": list(container.labels)}
-    if isinstance(container, Sum):
-        return {"sum": [container_to_json(container.left), container_to_json(container.right)]}
-    if isinstance(container, Product):
-        return {"product": list(map(container_to_json, container.parts))}
-    if isinstance(container, FinPow):
-        return {"finpow": container_to_json(container.inner)}
-    if isinstance(container, Exp):
-        return {
-            "exp": {
-                "base": container_to_json(container.base),
-                "labels": list(container.exponent),
-            }
-        }
-    if isinstance(container, PairNeq):
-        return {"pairneq": None}
-    raise InputError(f"unknown container: {container!r}")
+    kind, kids, labels = _node(container)  # its kind is its tag
+    if kind == "id" or kind == "pairneq":
+        return {kind: None}
+    if kind == "const":
+        return {kind: list(labels)}
+    parts = list(map(container_to_json, kids))
+    if kind == "finpow":
+        return {kind: parts[0]}
+    if kind == "exp":
+        return {kind: {"base": parts[0], "labels": list(labels)}}
+    return {kind: parts}  # a sum or a product
 
 
 def _tagged(doc, where):
@@ -712,8 +693,10 @@ def _tagged(doc, where):
 
 def container_from_json(doc, where: str = "$") -> Container:
     tag, body = _tagged(doc, where)
-    if tag == "id":
-        return Identity()
+    if tag == "id" or tag == "pairneq":
+        if body is not None:
+            raise InputError(f"{where}.{tag}: expected null")
+        return Identity() if tag == "id" else PairNeq()
     if tag == "const":
         if not isinstance(body, list) or not all(isinstance(x, str) for x in body):
             raise InputError(f"{where}.const: expected a list of labels")
@@ -746,8 +729,6 @@ def container_from_json(doc, where: str = "$") -> Container:
             container_from_json(body["base"], f"{where}.exp.base"),
             tuple(labels),
         )
-    if tag == "pairneq":
-        return PairNeq()
     raise InputError(f"{where}: unknown container tag {tag!r}")
 
 

@@ -449,9 +449,12 @@ class TestErrors:
             ("signature", lambda d: d["ops"][1].update(bogus=1), "$.ops[1].bogus"),
             ("structure", lambda d: d.update(bogus=1), "$.bogus"),
             ("structure", lambda d: d["args"][0].update(bogus=1), "$.args[0].bogus"),
+            # an identity or pairneq functor has no fields: its body is null
+            ("set-coalgebra", lambda d: d.update(functor={"finpow": {"id": 5}}), "$.functor.finpow.id"),
+            ("set-coalgebra", lambda d: d.update(functor={"pairneq": [1, 2]}), "$.functor.pairneq"),
         ],
         ids=["set-coalgebra", "nlts", "nlts-rule", "nlts-template", "convex", "signature", "signature-op",
-             "structure", "structure-arg"],
+             "structure", "structure-arg", "functor-id", "functor-pairneq"],
     )
     def test_unknown_key_is_refused(self, tmp_path, capsys, kind, mutate, path):
         signature = signature_to_json(Signature((("z", 0), ("s", 1))))
@@ -470,7 +473,8 @@ class TestErrors:
             "structure": ["realize", "--sig", sig, "--structure", file],
         }.get(kind, ["check-wf", file])
         assert main(argv) == 3
-        assert capsys.readouterr() == ("", f"error: {path}: unknown field\n")
+        problem = "expected null" if path.startswith("$.functor") else "unknown field"
+        assert capsys.readouterr() == ("", f"error: {path}: {problem}\n")
 
 
 
@@ -494,6 +498,30 @@ class TestLimits:
         path = write(tmp_path, "chain.json", doc)
         assert main(["fold", path, "--algebra", "term", "--format", fmt]) == 3
         self.assert_input_error(capsys, f"error: {path}: an unfolding is nested too deeply to print")
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit before 3.10.7")
+    @pytest.mark.parametrize("kind", ["set-coalgebra", "nlts", "convex", "signature", "structure"])
+    def test_integer_of_too_many_digits(self, tmp_path, capsys, kind):
+        big = "1" * 5000
+        signature = json.dumps(signature_to_json(Signature((("z", 0), ("s", 1)))))
+        text = {
+            "set-coalgebra": '{"version": 1, "kind": "set-coalgebra", "functor": {"finpow": {"id": null}}, '
+                             f'"states": ["a"], "structure": {{"a": {big}}}}}',
+            "nlts": f'{{"version": 1, "kind": "nlts", "labels": {{"l0": {big}}}, "rules": []}}',
+            "convex": f'{{"version": 1, "kind": "convex", "generators": {big}, "successors": []}}',
+            "signature": f'{{"version": 1, "kind": "signature", "ops": [{{"name": "z", "arity": {big}}}]}}',
+            "structure": f'{{"op": "z", "args": [], "x": {big}}}',
+        }[kind]
+        path, sig = tmp_path / "big.json", tmp_path / "sig.json"
+        path.write_text(text, encoding="utf-8")
+        sig.write_text(signature, encoding="utf-8")
+        argv = {
+            "signature": ["check-5.2", "--sig", str(path)],
+            "structure": ["realize", "--sig", str(sig), "--structure", str(path)],
+        }.get(kind, ["check-wf", str(path)])
+        assert main(argv) == 3
+        limit = sys.get_int_max_str_digits()
+        self.assert_input_error(capsys, f"error: {path}: an integer has more than {limit} digits\n")
 
     @pytest.mark.parametrize(
         "coefficient, message",
@@ -1124,6 +1152,48 @@ class TestClosedStdout:
     def test_gallery_all(self):
         proc = self.run_into_closed_pipe(["gallery", "all"])
         assert (proc.returncode, proc.stderr) == (0, "")
+
+
+class TestUnencodableNames:
+    """A name that stdout cannot encode, as a lone surrogate, is printed
+    escaped in text mode, as stderr prints it, and the exit code stays the
+    verdict; JSON output escapes it already."""
+
+    S = "\ud800"
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        S = self.S
+        docs = {
+            "set": {"version": 1, "kind": "set-coalgebra", "functor": {"finpow": {"id": None}}, "states": [S, "b"],
+                    "structure": {S: {"set": [{"state": "b"}]}, "b": {"set": []}}},
+            "nlts": {"version": 1, "kind": "nlts", "labels": {"l0": 1, S: 1},
+                     "rules": [{"from": "l0", "case": "fresh", "to": [{"label": S, "assign": ["input"]}]}]},
+            "sig": signature_to_json(Signature(((S, 0), ("s", 1)))),
+            "structure": {"op": S, "args": []},
+        }
+        return {name: write(tmp_path, f"{name}.json", doc) for name, doc in docs.items()}
+
+    @pytest.mark.parametrize(
+        "argv, out",
+        [
+            (["export-dot", "set"], 'digraph G {\n  "b";\n  "\\ud800";\n  "\\ud800" -> "b";\n}\n'),
+            (["export-dot", "nlts"], 'digraph G {\n  "l0";\n  "\\ud800";\n  "l0" -> "\\ud800";\n}\n'),
+            (["fold", "set", "--algebra", "count"], "\\ud800 = 1\nb = 0\n"),
+            (["fold", "set", "--algebra", "term"], '\\ud800 = {"set": [{"set": []}]}\nb = {"set": []}\n'),
+            (["realize", "--sig", "sig", "--structure", "structure"],
+             "realized at state '\\ud800' (1 states)\nunfolds to \\ud800\n"),
+        ],
+        ids=["export-dot-set", "export-dot-nlts", "fold-count", "fold-term", "realize"],
+    )
+    def test_text_output(self, files, capsys, argv, out):
+        assert main([files.get(arg, arg) for arg in argv]) == 0
+        assert capsys.readouterr() == (out, "")
+
+    def test_console_output(self, files):
+        proc = run_cli(["export-dot", files["set"]], capture_output=True)
+        out = b'digraph G {\n  "b";\n  "\\ud800";\n  "\\ud800" -> "b";\n}\n'
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, b"")
 
 
 @pytest.mark.parametrize("name", ["all", "list"])

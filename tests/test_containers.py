@@ -7,7 +7,8 @@ import sys
 import pytest
 
 import coalg.containers
-from coalg.coalgebras import coalgebra_from_json, count_algebra, unfold_algebra
+from coalg.cli import main
+from coalg.coalgebras import FiniteCoalgebra, coalgebra_from_json, count_algebra, unfold_algebra
 from coalg.containers import (
     Const,
     ConstVal,
@@ -524,14 +525,19 @@ class TestCompiledWalks:
         assert hmap(container, f, h) == reference_hmap(container, f, h)
         assert interpret(container, h, env) == reference_interpret(container, h, env)
 
-    def test_each_walk_compiles_once_per_container(self, monkeypatch):
-        compiled = []
+    @pytest.fixture
+    def compiled(self, monkeypatch):
+        """The sources that containers.py compiles from here on."""
+        sources = []
 
         def counting_exec(source, scope):
-            compiled.append(source)
+            sources.append(source)
             return builtins.exec(source, scope)
 
         monkeypatch.setattr(coalg.containers, "exec", counting_exec, raising=False)
+        return sources
+
+    def test_each_walk_compiles_once_per_container(self, compiled):
         states = [f"s{i}" for i in range(1000)]
         doc = {
             "version": 1, "kind": "set-coalgebra", "functor": {"finpow": {"id": None}}, "states": states,
@@ -545,7 +551,19 @@ class TestCompiledWalks:
         for h in system.structure.values():
             support(system.container, h)
             structure_to_json(h)
-        assert len(compiled) == 2  # and support; structure_to_json compiles nothing
+        assert len(compiled) == 1  # support and structure_to_json compile nothing
+
+    def test_only_a_file_decoder_is_compiled(self, compiled, tmp_path, capsys):
+        assert main(["gallery", "all"]) == 0
+        assert compiled == []  # the gallery's systems are built in memory, and checked by support
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps({
+            "version": 1, "kind": "set-coalgebra", "functor": {"finpow": {"id": None}}, "states": ["a", "b"],
+            "structure": {"a": {"set": [{"state": "b"}]}, "b": {"set": []}},
+        }), encoding="utf-8")
+        assert main(["check-wf", str(path)]) == 0
+        assert len(compiled) == 1  # the graph walk that reads the file
+        capsys.readouterr()
 
 
 def nested_finpow(levels):
@@ -593,6 +611,29 @@ def test_containers_as_deep_as_json_allows(levels):
             assert (levels_of(decoded), refs) == (depth, frozenset())
             assert levels_of(hmap(container, {}, h)) == depth
             assert chain(interpret(container, h, {}), frozenset, lambda f: next(iter(f), None)) == depth
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_values_deeper_than_the_recursion_limit_are_checked():
+    """support walks a value with an explicit stack: a 50 000-level chain of
+    left injections is checked, in support and in a system's constructor,
+    under the default recursion limit."""
+    container, h = Identity(), StateRef("a")
+    for _ in range(50_000):
+        container, h = Sum(container, Const(("u",))), InL(h)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert support(container, h) == {"a"}
+        assert FiniteCoalgebra(container, ["a"], {"a": h}).successors("a") == {"a"}
+        for _ in range(50_000):
+            h = h.value
+        bad = ConstVal("u")
+        for _ in range(50_000):
+            bad = InL(bad)  # a label where the state slot is
+        with pytest.raises(InputError, match=r"^structure ConstVal\(label='u'\) does not match container Identity\(\)$"):
+            support(container, bad)
     finally:
         sys.setrecursionlimit(limit)
 

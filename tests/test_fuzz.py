@@ -1,9 +1,11 @@
 """Mutation fuzzing of the command line: the JSON documents of the gallery
 fixtures, with up to three sub-values replaced by generated JSON values,
-and deeply nested inputs go through every command in both formats.  Each
-run must end in an exit code of the contract (0 to 3) with no exception
-escaping ``main``.  The examples are derandomized, so every run tries the
-same documents."""
+with a name no encoding writes or an integer too long to convert, and
+deeply nested inputs go through every command in both formats.  Each run
+must end in an exit code of the contract (0 to 3) with no exception
+escaping ``main``; a fixture with an unknown key in one of its objects is
+refused.  The examples are derandomized, so every run tries the same
+documents."""
 
 import contextlib
 import io
@@ -61,7 +63,10 @@ def work(tmp_path_factory):
 
 
 def run(argv) -> int:
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    # stdout and stderr encode as a console's do: stdout strictly, stderr escaping
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="backslashreplace")
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         return main(argv)
 
 
@@ -77,6 +82,62 @@ def test_mutated_fixtures_keep_the_exit_code_contract(work, data):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
     run_every_command(path, str(work / "structure.json"), state)
+
+
+def field_objects(doc, path=()):
+    """The path of every object of ``doc`` whose keys are field names or a
+    tag, not data such as an nlts ``labels`` map or a ``structure`` map."""
+    if isinstance(doc, dict) and path[-1:] not in (("labels",), ("structure",), ("fun",)):
+        yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from field_objects(value, path + (key,))
+
+
+@pytest.mark.parametrize("doc", DOCUMENTS, ids=[f"{i}-{doc['kind']}" for i, doc in enumerate(DOCUMENTS)])
+@settings(derandomize=True, max_examples=10, deadline=None, database=None)
+@given(data=st.data())
+def test_unknown_keys_are_refused(work, doc, data):
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for key in data.draw(st.sampled_from(list(field_objects(doc)))):
+        target = target[key]
+    target[data.draw(st.text(max_size=6).filter(lambda key: key not in target))] = data.draw(JSON_VALUES)
+    path = str(work / "unknown.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    argv = ["check-5.2", "--sig", path] if doc["kind"] == "signature" else ["check-wf", path]
+    for fmt in ("json", "text"):
+        assert run([*argv, "--format", fmt]) == 3
+
+
+# the name that each kind of fixture has first: a state, a label, an
+# operation, or a coefficient
+FIRST_NAME = {
+    "set-coalgebra": lambda doc: doc["states"][0],
+    "nlts": lambda doc: next(iter(doc["labels"])),
+    "convex": lambda doc: doc["successors"][0][0][0],
+    "signature": lambda doc: doc["ops"][0]["name"],
+}
+
+
+@pytest.mark.parametrize("doc", DOCUMENTS, ids=[f"{i}-{doc['kind']}" for i, doc in enumerate(DOCUMENTS)])
+@pytest.mark.parametrize("swap", ["surrogate", "integer"])
+def test_unwritable_names_and_unconvertible_integers(work, doc, swap):
+    """Every fixture with its first name written as a lone surrogate, which
+    no encoding writes, everywhere it occurs, or with a 5000-digit integer
+    for its version; the structure document likewise."""
+    text = json.dumps(doc)
+    structure = {"op": "\ud800", "args": []} if swap == "surrogate" else {"op": "s", "args": ["z"], "n": 0}
+    structure = json.dumps(structure)
+    if swap == "surrogate":
+        text = text.replace(json.dumps(FIRST_NAME[doc["kind"]](doc)), '"\\ud800"')
+    else:
+        text = text.replace('"version": 1', '"version": ' + "1" * 5000, 1)
+        structure = structure.replace('"n": 0', '"n": ' + "1" * 5000)
+    (work / "odd.json").write_text(text, encoding="utf-8")
+    (work / "odd-structure.json").write_text(structure, encoding="utf-8")
+    run_every_command(str(work / "odd.json"), str(work / "odd-structure.json"), "\ud800")
 
 
 def run_every_command(path, structure, state):

@@ -110,17 +110,20 @@ def test_no_package_function_runs_only_under_tests():
     assert unused == []
 
 
-# the top-level functions that walk along a container, one per job; a new
-# walk that checks a value against its container is generated by
-# ``containers._compile``, and any other joins this set with its reason
-CONTAINER_WALKS = {
-    # the kind, children and labels of one container node, read by _compile,
-    # which compiles the walks that check a value against its container (the
-    # decoder, its graph walk, which is the decoder's lines that build no
-    # value, and support), and by has_pairneq; hmap, interpret,
-    # structure_to_json and the set order follow the value's own
-    # constructors, with no container
-    "_node",
+# the one top-level function that dispatches on the container classes: the
+# kind, children and labels of one container node; hmap, interpret,
+# structure_to_json and the set order follow the value's own constructors,
+# with no container
+CONTAINER_WALKS = {"_node"}
+
+# the top-level functions that walk along a container, each through _node,
+# one per job; a new walk joins this set with its reason
+NODE_READERS = {
+    # generates the decoder of a file's entries, and its graph walk, which is
+    # the decoder's lines that build no value
+    "_compile",
+    "has_pairneq",  # looks for the one node that can drop a state slot
+    "support",  # checks a value against its container, with an explicit stack
     "container_to_json",  # walks the container alone, with no value
     # walks interpret's shapes, not values; the benchmark's tracer wraps it by name
     "_shape_to_jsonable",
@@ -136,14 +139,21 @@ def test_one_container_walk_per_job():
                     return True
         return False
 
+    def reads_nodes(fn):
+        return any(
+            isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_node"
+            for node in ast.walk(fn)
+        )
+
     package = Path(coalg.__file__).resolve().parent
-    walks = {
-        node.name
+    functions = [
+        node
         for f in sorted(package.glob("*.py"))
         for node in ast.parse(f.read_text(encoding="utf-8")).body
-        if isinstance(node, ast.FunctionDef) and dispatches_on_identity(node)
-    }
-    assert walks == CONTAINER_WALKS
+        if isinstance(node, ast.FunctionDef)
+    ]
+    assert {fn.name for fn in functions if dispatches_on_identity(fn)} == CONTAINER_WALKS
+    assert {fn.name for fn in functions if reads_nodes(fn)} == NODE_READERS
 
 
 def test_one_fixpoint_kernel():
@@ -241,7 +251,7 @@ def test_sources_parse_as_python_3_10(monkeypatch):
     structure_decoder(container, ())
     structure_decoder(container, (), values=False)
     with pytest.raises(InputError):
-        support(container, None)
-    assert len(generated) == 5  # two records and three walks
+        support(container, None)  # a plain walk, compiled by nobody
+    assert len(generated) == 4  # two records and two walks
     for source in sources + generated:
         ast.parse(source, feature_version=(3, 10))
