@@ -56,15 +56,15 @@ EXIT_BUDGET = 2
 EXIT_INPUT = 3
 
 
-def _write(line: str) -> None:
-    """Print one line on stdout; every command writes through here.  If the
-    reader has closed the pipe, fd 1 goes to os.devnull and the command runs
-    on, so its exit code stays its verdict (see "Note on SIGPIPE" in the
-    documentation of the signal module)."""
+def _write(text: str, end: str = "\n") -> None:
+    """Print ``text`` and ``end`` on stdout; every command writes through
+    here.  If the reader has closed the pipe, fd 1 goes to os.devnull and
+    the command runs on, so its exit code stays its verdict (see "Note on
+    SIGPIPE" in the documentation of the signal module)."""
     try:
-        print(line)
+        print(text, end=end)
     except UnicodeEncodeError:  # as a lone surrogate in a name: escaped, as on stderr
-        _write(line.encode(sys.stdout.encoding, "backslashreplace").decode(sys.stdout.encoding))
+        _write(text.encode(sys.stdout.encoding, "backslashreplace").decode(sys.stdout.encoding), end)
     except BrokenPipeError:
         _stdout_to_devnull()
 
@@ -75,13 +75,65 @@ def _stdout_to_devnull() -> None:
     os.close(devnull)
 
 
-def _emit(doc: dict, config: argparse.Namespace, text_lines) -> None:
-    """Print ``doc`` as JSON, or ``text_lines``, which only text mode reads."""
-    if config.format == "json":
-        _write(json.dumps(doc, indent=2, sort_keys=True))
+def _emit(doc, config=None, text_lines=()) -> None:
+    """Print ``doc`` as ``json.dumps(doc, indent=2, sort_keys=True)``, in
+    blocks of about 64 KiB as it is encoded, or in text mode ``text_lines``."""
+    if config is None or config.format == "json":
+        block, size = [], 0
+        for chunk in _json_chunks(doc):
+            block.append(chunk)
+            size += len(chunk)
+            if size > 1 << 16:
+                _write("".join(block), "")
+                block, size = [], 0
+        _write("".join(block))
     else:
         for line in text_lines:
             _write(line)
+
+
+def _json_chunks(doc, width=4096):
+    """The text of ``json.dumps(doc, indent=2, sort_keys=True)`` in pieces,
+    from a walk with an explicit stack, so no depth reaches the recursion
+    limit.  A list or map of scalars goes to the C encoder ``width`` items a
+    call, its item separator carrying the indent."""
+    scalar, scalars = json.JSONEncoder().encode, (str, int, float, type(None))
+
+    def key(k):  # as json.dumps converts it; a key of another type raises its TypeError
+        return scalar(k if isinstance(k, str) else scalar(k if isinstance(k, scalars) else {k: 0})) + ": "
+
+    stack, lead, opened = [(iter((("", doc),)), "", "", None)], "", set()  # (heads and values, indent, closer, id)
+    while stack:
+        pairs, pad, closer, _ = stack[-1]
+        for head, value in pairs:
+            yield lead + pad + head
+            lead = ",\n"
+            if isinstance(value, dict):
+                keys, brackets, values = sorted(value), "{}", value.values()
+            elif isinstance(value, (list, tuple)):
+                keys, brackets, values = value, "[]", value
+            else:
+                yield scalar(value)
+                continue
+            inner = pad + "  "
+            if all(isinstance(v, scalars) for v in values):  # an empty one too
+                encode = json.JSONEncoder(separators=(",\n" + inner, ": ")).encode
+                for i in range(0, len(keys), width):
+                    part = keys[i : i + width]
+                    part = {k: value[k] for k in part} if brackets == "{}" else part
+                    yield (brackets[0] + "\n" if i == 0 else ",\n") + inner + encode(part)[1:-1]
+                yield "\n" + pad + brackets[1] if keys else brackets
+                continue
+            if id(value) in opened:
+                raise ValueError("Circular reference detected")
+            opened.add(id(value))
+            items = zip(map(key, keys), map(value.__getitem__, keys)) if brackets == "{}" else (("", v) for v in value)
+            stack.append((items, inner, "\n" + pad + brackets[1], id(value)))
+            lead = brackets[0] + "\n"
+            break
+        else:  # the frame's last item set the lead to ",\n"
+            opened.discard(stack.pop()[3])
+            yield closer
 
 
 def _read_text(path: str) -> str:
@@ -285,17 +337,15 @@ def cmd_fold(path: str, config: argparse.Namespace) -> int:
     if kind != "set-coalgebra" or isinstance(obj, coalgebras.LazyCoalgebra):
         raise InputError("fold needs a finite set-coalgebra input")
     values = wellfounded.solve_recursion(obj, _built_in_algebra(config.algebra, obj.container))
-    converted = {x: values[x] for x in obj.states}  # ints, printed as they come
-    lines = (f"{x} = {v}" for x, v in converted.items())
-    try:
-        if config.algebra == "term":
-            # encoded whole before the first line, as _emit encodes JSON: a too deep unfolding prints nothing
-            converted = {x: _shape_to_jsonable(obj.container, v) for x, v in converted.items()}
-            text = config.format == "text"
-            lines = [f"{x} = {json.dumps(v, sort_keys=True)}" for x, v in converted.items()] if text else ()
-        _emit({"algebra": config.algebra, "values": converted}, config, lines)
-    except RecursionError:
-        raise InputError(f"{path}: an unfolding is nested too deeply to print") from None
+    lines = (f"{x} = {values[x]}" for x in obj.states)  # in state order; _emit sorts the JSON map
+    if config.algebra == "term":
+        try:
+            # converted whole before the first byte: a too deep unfolding prints nothing
+            values = {x: _shape_to_jsonable(obj.container, values[x]) for x in obj.states}
+            lines = [f"{x} = {json.dumps(v, sort_keys=True)}" for x, v in values.items()] if config.format == "text" else ()
+        except RecursionError:
+            raise InputError(f"{path}: an unfolding is nested too deeply to print") from None
+    _emit({"algebra": config.algebra, "values": values}, config, lines)
     return EXIT_OK
 
 
@@ -418,11 +468,11 @@ def cmd_gallery(name: str) -> int:
             match = code == entry.expected_exit
             all_ok = all_ok and match
             _write(f"=== {entry_name} [{entry.kind}] ===")
-            _write(json.dumps(doc, indent=2, sort_keys=True))
+            _emit(doc)
             _write(f"exit: {code} (expected {entry.expected_exit}) {'ok' if match else 'MISMATCH'}")
         return EXIT_OK if all_ok else EXIT_NOT_WF
     doc, code = gallery.get_entry(name).demo()
-    _write(json.dumps(doc, indent=2, sort_keys=True))
+    _emit(doc)
     return code
 
 

@@ -1,5 +1,8 @@
 import ast
+import contextlib
 import gc
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -10,9 +13,12 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coalg.cli as cli
 import coalg.coalgebras as coalgebras
+import coalg.wellfounded as wellfounded
 from coalg.cli import build_parser, export_dot, main
 from coalg.coalgebras import Algebra, coalgebra_to_json, count_algebra, induction_algebra
 from coalg.containers import Pair, SetOf, StateRef
@@ -995,6 +1001,16 @@ CHAIN_STRUCTURE = json.dumps(CHAIN_DOC["structure"])
 ENTRY = {x: json.dumps(v) for x, v in CHAIN_DOC["structure"].items()}
 
 
+def traced_peak(run):
+    """The most memory that ``run()`` holds at once, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _with_structure(text):
     return CHAIN_TEXT.replace(CHAIN_STRUCTURE, text)
 
@@ -1096,16 +1112,8 @@ class TestStreamedRead:
         text = Path(path).read_text(encoding="utf-8")
         del doc
 
-        def peak(read):
-            tracemalloc.start()
-            try:
-                read()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
         assert cli.load_input(path)[1]._out[0] == (1, 2, 3)  # and the walk is compiled
-        streamed, whole = peak(lambda: cli.load_input(path)), peak(lambda: json.loads(text))
+        streamed, whole = traced_peak(lambda: cli.load_input(path)), traced_peak(lambda: json.loads(text))
         assert streamed * 3 < whole, (streamed, whole)
 
     def test_json_loads_runs_only_where_the_reader_bails(self, tmp_path, monkeypatch, capsys):
@@ -1121,6 +1129,131 @@ class TestStreamedRead:
         capsys.readouterr()
 
 
+# JSON scalars as the reports hold them and beyond: integers past 64 bits,
+# text with escapes, non-ASCII characters and lone surrogates
+JSON_TEXT = st.text(st.sampled_from('az"\\/\n\t\x00\x7fé\u2028\ud800\udfff\U0001f600'), max_size=4)
+JSON_SCALARS = st.none() | st.booleans() | st.integers(-(2**80), 2**80) | st.floats() | JSON_TEXT | st.text(max_size=3)
+JSON_DOCS = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(JSON_TEXT, inner, max_size=5)
+    | st.dictionaries(st.integers(-3, 3) | st.none() | st.booleans(), inner, max_size=3),
+    max_leaves=40,
+)
+
+
+def emitted(doc) -> str:
+    """What ``cli._emit`` prints for ``doc`` in JSON mode."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(doc)
+    return out.getvalue()
+
+
+def dumped(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+class TestJsonWriter:
+    """Every JSON report is json.dumps(doc, indent=2, sort_keys=True) and a
+    newline, byte for byte, written in blocks by a walk with an explicit
+    stack."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None, database=None)
+    @given(doc=JSON_DOCS, width=st.integers(1, 4))
+    def test_random_documents(self, doc, width):
+        try:
+            expected = json.dumps(doc, indent=2, sort_keys=True)
+        except TypeError:  # keys of types that do not sort together
+            with pytest.raises(TypeError):
+                emitted(doc)
+            return
+        assert emitted(doc) == expected + "\n"
+        assert "".join(cli._json_chunks(doc, width)) == expected  # several slices a container
+
+    def test_documents_larger_than_a_slice_and_a_block(self):
+        ranks = {f"s{i}": i % 7 for i in range(10_000)}
+        doc = {"ranks": ranks, "wfPart": sorted(ranks), "big": [2**70, -1.5, None, True] * 3000,
+               "nested": [{"set": [{"state": x}], "t": (x,)} for x in ranks]}
+        text = emitted(doc)
+        assert len(text) > 10 * 2**16
+        assert text == dumped(doc)
+
+    def test_reports_of_every_golden(self):
+        """The golden files, each JSON report in them, and each gallery
+        report are written as json.dumps writes them."""
+        reports = [(GOLDEN / name).read_text(encoding="utf-8") for name in ("fold.json", "realize.json")]
+        docs = [json.loads(text) for text in reports]
+        printed = [case["stdout"] for doc in docs for key, case in doc.items() if key.endswith(" json") and case["stdout"]]
+        gallery_all = (GOLDEN / "gallery_all.txt").read_text(encoding="utf-8")
+        printed += [part.split("\nexit: ")[0] + "\n" for part in gallery_all.split(" ===\n")[1:]]
+        assert len(printed) >= 20
+        for text in printed:
+            assert emitted(json.loads(text)) == text
+        for doc in docs:
+            assert emitted(doc) == dumped(doc)
+
+    def test_a_document_deeper_than_the_recursion_limit(self, monkeypatch):
+        """5000 levels, alternately lists and maps, are written in full under
+        the default limit of 1000 frames, and hashed as they are written."""
+
+        def document(n):
+            doc = []
+            for i in reversed(range(n)):
+                doc = [doc] if i % 2 == 0 else {"k": doc}
+            return doc
+
+        def text(n):  # the pieces of json.dumps(document(n), indent=2) and a newline
+            for i in range(n):
+                yield ("[\n" if i % 2 == 0 else "{\n") + "  " * (i + 1) + ("" if i % 2 == 0 else '"k": ')
+            yield "[]"
+            for i in reversed(range(n)):
+                yield "\n" + "  " * i + ("]" if i % 2 == 0 else "}")
+            yield "\n"
+
+        for n in range(6):
+            assert "".join(text(n)) == dumped(document(n))
+
+        class Digest(io.TextIOBase):
+            def __init__(self):
+                self.hash = hashlib.sha256()
+
+            def write(self, s):
+                self.hash.update(s.encode("ascii"))
+                return len(s)
+
+        expected, out = hashlib.sha256(), Digest()
+        for piece in text(5000):
+            expected.update(piece.encode("ascii"))
+        doc = document(5000)
+        monkeypatch.setattr(sys, "stdout", out)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            cli._emit(doc)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert out.hash.digest() == expected.digest()
+
+    def test_circular_document_is_refused(self):
+        doc = {"a": [1, {}]}
+        doc["a"][1]["b"] = [doc]
+        with pytest.raises(ValueError, match="Circular reference"):
+            emitted(doc)
+
+    def test_memory_is_a_few_blocks(self, tmp_path):
+        """A 20 000-state check-wf report is emitted at a peak below a
+        quarter of json.dumps(indent=2) alone on the same document."""
+        names = state_names(20_000)
+        path = write(tmp_path, "dag.json", finpow_system({x: names[i + 1 : i + 4] for i, x in enumerate(names)}))
+        doc = wellfounded.well_founded_part(cli.load_input(path)[1]).to_json()
+        with open(os.devnull, "w", encoding="ascii") as null, contextlib.redirect_stdout(null):
+            written = traced_peak(lambda: cli._emit(doc))
+        whole = traced_peak(lambda: json.dumps(doc, indent=2, sort_keys=True))
+        assert written * 4 < whole, (written, whole)
+
+
 class TestClosedStdout:
     """A reader that closes the pipe early (``coalg ... | head``) leaves the
     exit code as the verdict, with nothing on stderr."""
@@ -1133,20 +1266,28 @@ class TestClosedStdout:
         finally:
             os.close(write_end)
 
-    def test_check_wf_on_a_large_dag(self, tmp_path):
+    @pytest.fixture
+    def dag(self, tmp_path):
         n = 20_000
         structure = {
             f"s{i}": {"set": [{"state": f"s{j}"} for j in (i - 2, i - 1) if j >= 0]}
             for i in range(n)
         }
-        dag = write(tmp_path, "dag.json", {
+        return write(tmp_path, "dag.json", {
             "version": 1,
             "kind": "set-coalgebra",
             "functor": {"finpow": {"id": None}},
             "states": list(structure),
             "structure": structure,
         })
+
+    def test_check_wf_on_a_large_dag(self, dag):
         proc = self.run_into_closed_pipe(["check-wf", dag, "--format", "json"])
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+    def test_fold_on_a_large_dag(self, dag):
+        # the report is some 30 blocks, so the pipe closes between two of them
+        proc = self.run_into_closed_pipe(["fold", dag, "--algebra", "count", "--format", "json"])
         assert (proc.returncode, proc.stderr) == (0, "")
 
     def test_gallery_all(self):
